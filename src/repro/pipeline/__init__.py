@@ -1,8 +1,7 @@
-"""Real-time survey pipeline: streaming, multi-beam scheduling, sizing."""
+"""Real-time pipeline: streaming, multi-beam scheduling, fleet sizing."""
 
 from repro.pipeline.streaming import StreamingDedispersion, ChunkResult
 from repro.pipeline.multibeam import BeamAssignment, MultiBeamScheduler
-from repro.pipeline.survey import SurveyPipeline, SurveyReport, BeamResult
 from repro.pipeline.fleet import FleetDevice, FleetPlan, execute_plan, plan_fleet
 from repro.pipeline.realtime import (
     RealtimeReport,
@@ -14,9 +13,6 @@ from repro.pipeline.realtime import (
 )
 
 __all__ = [
-    "SurveyPipeline",
-    "SurveyReport",
-    "BeamResult",
     "FleetDevice",
     "FleetPlan",
     "execute_plan",

@@ -3,7 +3,7 @@
 One request type (:class:`ExecutionRequest`), one result type
 (:class:`ExecutionResult`), one call (:func:`execute`).  See
 :mod:`repro.run.facade` for the dispatch table and
-``docs/api.md`` for the migration guide from the legacy entrypoints.
+``docs/api.md`` for the request reference.
 
 The fused dedisperse→detect fast path lives in :mod:`repro.run.fused`
 (reached via ``detector=`` / ``mode="fused"`` requests); its

@@ -1,14 +1,10 @@
 """The unified execution facade: one request type, one ``execute`` call.
 
-The repository grew four overlapping ways to launch dedispersion work —
-``DedispersionKernel.execute`` (one beam, one batch),
-``BatchedDedispersionKernel.execute`` / ``execute_sharded`` (multi-beam,
-whole or sharded launches), ``ExecutionEngine.execute_numeric`` (the
-scheduler's own decomposition) and ``DedispersionPlan.execute`` /
-``StreamingDedispersion`` (tuned plans over chunked streams).  Each had
-its own argument spelling and none composed: downstream consumers (the
-candidate search of :mod:`repro.search`, notably) would have had to
-special-case every one.
+Every way of launching dedispersion work — one beam and one batch, a
+multi-beam batch, the same batch split into scheduler shards, or a tuned
+plan driven over a chunked stream — goes through this module, so
+downstream consumers (the candidate search of :mod:`repro.search`,
+notably) speak one argument spelling.
 
 :class:`ExecutionRequest` normalises all of them into a single value
 object and :func:`execute` dispatches on its resolved *mode*:
@@ -33,10 +29,7 @@ mode           meaning
 
 ``mode="auto"`` (the default) infers the mode from what the request
 carries: chunks imply ``streaming``, shards imply ``sharded``, 3-D input
-implies ``batched``, 2-D input implies ``kernel``.  The legacy
-entrypoints survive as thin warn-once shims that build the equivalent
-request, so old call sites keep working while new code — and everything
-inside this package — speaks only the facade.
+implies ``batched``, 2-D input implies ``kernel``.
 
 Every request lands in the metrics registry
 (``repro_run_requests_total{mode=...}`` plus a

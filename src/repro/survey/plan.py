@@ -37,7 +37,8 @@ class SurveyPlan:
     ``setup`` keys one column of
     :data:`~repro.scenarios.SCENARIO_SETUPS`; ``n_dms`` optionally
     overrides the column's trial count (same first/step), giving the
-    benchmark its beams × n_dms scaling axis.  ``signal_radius`` sizes
+    benchmark its beams × n_dms scaling axis; it must be a multiple of
+    the column configuration's ``tile_dms``.  ``signal_radius`` sizes
     the beam neighbourhood carrying the astrophysical signal (centre ±
     radius) and ``adjacent_attenuation`` the per-beam-step amplitude
     falloff inside it.  ``faults`` drives the fleet-dispatch stage's
@@ -70,6 +71,13 @@ class SurveyPlan:
             )
         if self.n_dms is not None:
             require_positive_int(self.n_dms, "n_dms")
+            tile = setup_by_key(self.setup).config.tile_dms
+            if self.n_dms % tile:
+                raise ValidationError(
+                    f"n_dms={self.n_dms} does not tile the {self.setup!r} "
+                    f"column's kernel configuration: use a multiple of "
+                    f"{tile} trial DMs"
+                )
         if self.n_chunks is not None:
             require_positive_int(self.n_chunks, "n_chunks")
         object.__setattr__(

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from repro.astro.rfi import (
-    inject_broadband_rfi,
-    inject_narrowband_rfi,
+    _inject_broadband_rfi,
+    _inject_narrowband_rfi,
     mask_noisy_channels,
     zero_dm_filter,
 )
+from repro.astro.source import BroadbandRFISource, NarrowbandRFISource
 from repro.errors import ValidationError
+from repro.utils.rng import RandomStreams
+from tests.conftest import observe
 
 
 @pytest.fixture
@@ -17,47 +20,71 @@ def noise(rng):
     return rng.normal(size=(16, 1000)).astype(np.float32)
 
 
-class TestInjection:
-    def test_broadband_hits_all_channels(self, noise):
-        before = noise[:, 500].copy()
-        inject_broadband_rfi(noise, [500], amplitude=10.0, width=1)
-        assert np.all(noise[:, 500] - before == pytest.approx(10.0))
+def add_rfi(source, data, setup):
+    """Inject ``source`` into ``data``; returns its one truth component."""
+    (component,) = source.add_to(data, setup, RandomStreams(0)).components
+    return component
 
-    def test_broadband_width(self, noise):
-        inject_broadband_rfi(noise, [100], amplitude=10.0, width=5)
-        assert noise[0, 100:105].mean() > 5
-        assert noise[0, 106] < 5
+
+class TestInjection:
+    def test_broadband_hits_all_channels(self, noise, toy_low):
+        before = noise.copy()
+        event = add_rfi(
+            BroadbandRFISource(n_events=1, amplitude=10.0, width=1),
+            noise,
+            toy_low,
+        )
+        (t,) = event.time_samples
+        assert np.all(noise[:, t] - before[:, t] == pytest.approx(10.0))
+
+    def test_broadband_width(self, noise, toy_low):
+        event = add_rfi(
+            BroadbandRFISource(n_events=1, amplitude=10.0, width=5),
+            noise,
+            toy_low,
+        )
+        (t,) = event.time_samples
+        assert noise[0, t:t + 5].mean() > 5
+        assert noise[0, t + 6] < 5
 
     def test_broadband_bounds_checked(self, noise):
         with pytest.raises(ValidationError):
-            inject_broadband_rfi(noise, [5000])
+            _inject_broadband_rfi(noise, [5000])
 
-    def test_narrowband_raises_one_channel(self, noise):
-        inject_narrowband_rfi(noise, [3], amplitude=5.0)
+    def test_narrowband_raises_one_channel(self, noise, toy_low):
+        event = add_rfi(
+            NarrowbandRFISource(n_channels=1, amplitude=5.0), noise, toy_low
+        )
         variances = noise.var(axis=1)
-        assert np.argmax(variances) == 3
+        assert event.channels == (int(np.argmax(variances)),)
 
     def test_narrowband_bounds_checked(self, noise):
         with pytest.raises(ValidationError):
-            inject_narrowband_rfi(noise, [99])
+            _inject_narrowband_rfi(noise, [99])
 
 
 class TestChannelMask:
-    def test_masks_contaminated_channel(self, noise):
-        inject_narrowband_rfi(noise, [7], amplitude=8.0)
+    def test_masks_contaminated_channel(self, noise, toy_low):
+        event = add_rfi(
+            NarrowbandRFISource(n_channels=1, amplitude=8.0), noise, toy_low
+        )
+        (channel,) = event.channels
         mask = mask_noisy_channels(noise)
-        assert not mask.mask[7]
+        assert not mask.mask[channel]
         assert mask.n_masked == 1
-        assert np.all(noise[7] == 0.0)
+        assert np.all(noise[channel] == 0.0)
 
     def test_clean_data_untouched(self, noise):
         mask = mask_noisy_channels(noise, sigma_threshold=8.0)
         assert mask.n_masked == 0
 
-    def test_multiple_channels(self, noise):
-        inject_narrowband_rfi(noise, [2, 9], amplitude=8.0)
+    def test_multiple_channels(self, noise, toy_low):
+        event = add_rfi(
+            NarrowbandRFISource(n_channels=2, amplitude=8.0), noise, toy_low
+        )
+        assert len(event.channels) == 2
         mask = mask_noisy_channels(noise)
-        assert not mask.mask[2] and not mask.mask[9]
+        assert not mask.mask[list(event.channels)].any()
 
     def test_rejects_1d(self):
         with pytest.raises(ValidationError):
@@ -65,11 +92,16 @@ class TestChannelMask:
 
 
 class TestZeroDMFilter:
-    def test_kills_broadband_rfi(self, noise):
-        inject_broadband_rfi(noise, [300], amplitude=20.0, width=2)
+    def test_kills_broadband_rfi(self, noise, toy_low):
+        event = add_rfi(
+            BroadbandRFISource(n_events=1, amplitude=20.0, width=2),
+            noise,
+            toy_low,
+        )
+        (t,) = event.time_samples
         zero_dm_filter(noise)
         # The undispersed spike is annihilated to the noise level.
-        assert abs(float(noise[:, 300].mean())) < 1e-4
+        assert abs(float(noise[:, t].mean())) < 1e-4
 
     def test_band_mean_zero_afterwards(self, noise):
         zero_dm_filter(noise)
@@ -79,14 +111,19 @@ class TestZeroDMFilter:
         # A dispersed pulse occupies few channels per sample, so the filter
         # keeps most of its energy — while an *undispersed* pulse of the
         # same shape is annihilated.
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
+        from repro.astro.source import NoiseSource, PulsarSource
 
         def filtered_energy(dm: float) -> tuple[float, float]:
             pulsar = SyntheticPulsar(
                 period_seconds=0.5, dm=dm, amplitude=2.0
             )
-            data = generate_observation(
-                toy_low, 1.0, pulsars=[pulsar], noise_sigma=0.0, max_dm=8.0,
+            data = observe(
+                toy_low,
+                1.0,
+                (NoiseSource(sigma=0.0), PulsarSource(pulsar)),
+                seed=0,
+                max_dm=8.0,
             )
             before = float((data ** 2).sum())
             zero_dm_filter(data)
@@ -101,17 +138,23 @@ class TestZeroDMFilter:
         # The survey-grade workflow: RFI in, filter, dedisperse, detect the
         # true pulsar rather than the DM-0 interference.
         from repro.astro.dm_trials import DMTrialGrid
-        from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+        from repro.astro.signal_gen import SyntheticPulsar
+        from repro.astro.source import NoiseSource, PulsarSource
         from repro.astro.snr import detect_dm
         from repro.baselines.cpu_reference import dedisperse_vectorized
 
         grid = DMTrialGrid(16, step=1.0)
         pulsar = SyntheticPulsar(period_seconds=0.25, dm=9.0, amplitude=1.5)
-        data = generate_observation(
-            toy_low, 1.0, pulsars=[pulsar], max_dm=grid.last, rng=rng
-        )
-        inject_broadband_rfi(
-            data, [50, 180, 310], amplitude=8.0, width=3
+        data = observe(
+            toy_low,
+            1.0,
+            (
+                NoiseSource(),
+                PulsarSource(pulsar),
+                BroadbandRFISource(n_events=3, amplitude=8.0, width=3),
+            ),
+            seed=12345,
+            max_dm=grid.last,
         )
         # Without mitigation the brightest candidate sits at DM ~0.
         raw = dedisperse_vectorized(data.copy(), toy_low, grid, 400)

@@ -98,3 +98,43 @@ def make_input(
     s = samples or setup.samples_per_batch
     t = s + max_delay_samples(setup, grid.last)
     return rng.normal(size=(setup.channels, t)).astype(np.float32)
+
+
+def launch(kernel, data, delay_table, **kwargs) -> np.ndarray:
+    """Dedisperse ``data`` through ``kernel`` via the :mod:`repro.run` facade.
+
+    Keyword arguments (``out=``, ``backend=``) pass through to the
+    :class:`~repro.run.ExecutionRequest`; returns its output matrix.
+    """
+    from repro.run import ExecutionRequest, execute
+
+    request = ExecutionRequest(
+        data=data, kernel=kernel, delay_table=delay_table, **kwargs
+    )
+    return execute(request).output
+
+
+def observe(
+    setup: ObservationSetup,
+    seconds: float,
+    sources,
+    seed: int,
+    max_dm: float | None = None,
+) -> np.ndarray:
+    """``seconds`` of ``setup`` data composed from ``sources``.
+
+    Generated through the seeded :class:`~repro.astro.source.SignalSource`
+    API; ``max_dm`` appends the maximum dispersion delay so every output
+    sample of a dedispersion up to that DM has valid input.
+    """
+    from repro.astro.dispersion import max_delay_samples
+    from repro.astro.source import CompositeSource
+    from repro.utils.rng import RandomStreams
+
+    n_samples = int(round(seconds * setup.samples_per_second))
+    if max_dm is not None:
+        n_samples += max_delay_samples(setup, max_dm)
+    data, _ = CompositeSource(tuple(sources)).generate(
+        setup, n_samples, RandomStreams(seed)
+    )
+    return data

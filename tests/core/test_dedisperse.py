@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.signal_gen import SyntheticPulsar, generate_observation
+from repro.astro.signal_gen import SyntheticPulsar
+from repro.astro.source import NoiseSource, PulsarSource
 from repro.astro.snr import detect_dm
 from repro.core.dedisperse import dedisperse, dedisperse_reference
 from repro.errors import ValidationError
 from repro.hardware.catalog import gtx680
-from tests.conftest import make_input
+from repro.run import ExecutionRequest, execute
+from tests.conftest import make_input, observe
 
 
 class TestDedisperse:
@@ -48,7 +50,7 @@ class TestDedisperse:
         data = make_input(toy_low, toy_grid, rng)
         out1, plan = dedisperse(data, toy_low, toy_grid, samples=400)
         data2 = make_input(toy_low, toy_grid, rng)
-        out2 = plan.execute(data2)
+        out2 = execute(ExecutionRequest(data=data2, plan=plan)).output
         assert out2.shape == out1.shape
         assert not np.array_equal(out1, out2)
 
@@ -60,12 +62,12 @@ class TestEndToEndRecovery:
         pulsar = SyntheticPulsar(
             period_seconds=0.25, dm=true_dm, amplitude=1.5
         )
-        data = generate_observation(
+        data = observe(
             toy_low,
             1.0,
-            pulsars=[pulsar],
+            (NoiseSource(), PulsarSource(pulsar)),
+            seed=3,
             max_dm=grid.last,
-            rng=np.random.default_rng(3),
         )
         out, _ = dedisperse(data, toy_low, grid, samples=400)
         detection = detect_dm(out, grid.values)

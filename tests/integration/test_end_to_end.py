@@ -11,6 +11,7 @@ from repro.astro.telescope import Telescope
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import gtx_titan, hd7970
 from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ExecutionRequest, execute
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +68,7 @@ class TestSurveyPipeline:
             survey_setup, grid, gtx_titan(), samples=1000
         )
         chunk = next(iter(telescope.stream(beam, 1, grid)))
-        output = plan.execute(chunk.data)
+        output = execute(ExecutionRequest(data=chunk.data, plan=plan)).output
         trial = grid.index_of(4.0)
         profile = folded_profile(
             output[trial], survey_setup.samples_per_second, period, n_bins=20
@@ -90,7 +91,8 @@ class TestSurveyPipeline:
             survey_setup, grid, hd7970(), samples=1000
         )
         chunk = next(iter(telescope.stream(beam, 1, grid)))
-        detection = detect_dm(plan.execute(chunk.data), grid.values)
+        output = execute(ExecutionRequest(data=chunk.data, plan=plan)).output
+        detection = detect_dm(output, grid.values)
         per_trial = detection.snr_per_trial
         best = per_trial[detection.dm_index]
         far = max(per_trial[0], per_trial[-1])

@@ -19,9 +19,16 @@ from repro.obs.registry import use_registry
 from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
 from repro.pipeline.realtime import realtime_report
 from repro.pipeline.streaming import StreamingDedispersion
-from repro.service import TuningService
+from repro.service import ServiceClient, TuneRequest, TuningService
 
 DEVICE = hd7970()
+
+
+def resolve(service, n_dms):
+    """Resolve an Apertif tuning request for ``DEVICE`` via the client API."""
+    return ServiceClient(service).resolve(
+        TuneRequest(setup=apertif(), n_dms=n_dms, device=DEVICE)
+    )
 
 
 class TestTunerInstrumentation:
@@ -48,8 +55,8 @@ class TestServiceInstrumentation:
     def test_cache_tiers_and_latency_reach_registry(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                service.get(DEVICE, apertif(), 16)
-                service.get(DEVICE, apertif(), 16)
+                resolve(service, 16)
+                resolve(service, 16)
                 instance = service.stats.instance
             assert reg.counter(
                 "repro_service_requests_total", instance=instance
@@ -73,7 +80,7 @@ class TestServiceInstrumentation:
     def test_snapshot_and_registry_agree(self):
         with use_registry() as reg:
             with TuningService(warm_start=False) as service:
-                service.get(DEVICE, apertif(), 16)
+                resolve(service, 16)
                 snap = service.snapshot()
                 instance = service.stats.instance
             assert snap.requests == reg.counter(

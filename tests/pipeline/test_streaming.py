@@ -10,6 +10,7 @@ from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
 from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ExecutionRequest, execute
 
 
 @pytest.fixture
@@ -63,7 +64,8 @@ class TestProcess:
         for i in range(n_chunks):
             start = i * plan.samples
             stop = start + plan.samples + chunks[0].overlap
-            batch_outputs.append(plan.execute(full[:, start:stop]))
+            request = ExecutionRequest(data=full[:, start:stop], plan=plan)
+            batch_outputs.append(execute(request).output)
         batch = np.concatenate(batch_outputs, axis=1)
         np.testing.assert_array_equal(streamed, batch)
 

@@ -1,122 +1,46 @@
-"""Integration-style tests for repro.pipeline.survey."""
+"""End-to-end tests of the multi-beam survey pipeline, ``run_survey``."""
 
-import numpy as np
-import pytest
-
-from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup
 from repro.astro.signal_gen import SyntheticPulsar
-from repro.astro.telescope import Telescope
-from repro.errors import PipelineError
-from repro.hardware.catalog import hd7970
-from repro.pipeline.survey import SurveyPipeline
+from repro.astro.source import CompositeSource, NoiseSource, PulsarSource
+from repro.survey import SurveyPlan, run_survey
 
 
-@pytest.fixture(scope="module")
-def setup():
-    return ObservationSetup(
-        name="survey-test",
-        channels=32,
-        lowest_frequency=138.0,
-        channel_bandwidth=0.2,
-        samples_per_second=1000,
-        samples_per_batch=1000,
+def survey_with_host_beam(**kwargs):
+    """An empty beam beside a beam hosting a DM-8 pulsar."""
+    host = CompositeSource((
+        NoiseSource(sigma=0.8),
+        PulsarSource(SyntheticPulsar(0.2, dm=8.0, amplitude=1.2)),
+    ))
+    plan = SurveyPlan(
+        n_beams=2,
+        beam_sources=(NoiseSource(sigma=0.8), host),
+        n_chunks=2,
+        **kwargs,
     )
-
-
-@pytest.fixture(scope="module")
-def grid():
-    # Start above DM 0: the pipeline zero-DM filters its input.
-    return DMTrialGrid(n_dms=16, first=1.0, step=1.0)
-
-
-def make_telescope(setup, pulsar_map, noise=0.8, seed=31):
-    scope = Telescope(setup=setup, noise_sigma=noise, seed=seed)
-    for label, pulsar in pulsar_map:
-        scope.add_beam(label=label, pulsars=pulsar)
-    return scope
+    return run_survey(plan)
 
 
 class TestSurveyPipeline:
-    def test_finds_pulsar_leaves_empty_beam_quiet(self, setup, grid):
-        scope = make_telescope(
-            setup,
-            [
-                ("empty", ()),
-                ("host", (SyntheticPulsar(0.2, dm=8.0, amplitude=1.2),)),
-            ],
-        )
-        pipeline = SurveyPipeline(scope, grid, hd7970())
-        report = pipeline.run(n_chunks=2)
+    def test_finds_pulsar_leaves_empty_beam_quiet(self):
+        report = survey_with_host_beam()
         assert len(report.beams) == 2
         empty, host = report.beams
-        assert host.has_candidate
-        if host.best_single_pulse is not None:
-            assert abs(host.best_single_pulse.dm - 8.0) <= 1.0
-        assert not empty.has_candidate
+        assert host.accepted
+        assert abs(host.accepted[0]["best"]["dm"] - 8.0) <= 1.0
+        assert not empty.accepted
 
-    def test_periodicity_backend_fires_for_weak_pulsar(self, setup, grid):
-        # Too weak for a confident single pulse, but periodic folding over
-        # several seconds accumulates significance.
-        scope = make_telescope(
-            setup,
-            [("weak", (SyntheticPulsar(0.1, dm=6.0, amplitude=0.35),))],
-            noise=1.0,
-            seed=8,
+    def test_rfi_does_not_create_candidates(self):
+        # Sidelobe RFI reaches every beam; the cross-beam veto removes it.
+        report = run_survey(
+            SurveyPlan(scenario="rfi_storm", setup="high", n_beams=8)
         )
-        pipeline = SurveyPipeline(
-            scope, grid, hd7970(), single_pulse_threshold=25.0,
-        )
-        report = pipeline.run(n_chunks=4)
-        beam = report.beams[0]
-        assert beam.periodicity_candidates
-        best = beam.periodicity_candidates[0]
-        assert abs(best.dm - 6.0) <= 2.0
-        ratio = best.frequency_hz * 0.1
-        assert abs(ratio - round(ratio)) < 0.1  # fundamental or harmonic
+        assert report.score.n_vetoed > 0
+        assert report.score.post_false_positives == 0
 
-    def test_rfi_does_not_create_candidates(self, setup, grid):
-        from repro.astro.rfi import inject_broadband_rfi
+    def test_report_summary_readable(self):
+        text = survey_with_host_beam().summary()
+        assert "explicit beam sources" in text and "setup 'low'" in text
 
-        scope = make_telescope(setup, [("rfi-beam", ())], seed=77)
-        pipeline = SurveyPipeline(scope, grid, hd7970())
-
-        # Monkey-patch the stream to inject RFI into every chunk.
-        original = scope.stream
-
-        def noisy_stream(beam, n_chunks, grid, chunk_seconds=1.0):
-            for chunk in original(beam, n_chunks, grid, chunk_seconds):
-                inject_broadband_rfi(
-                    chunk.data, [100, 400, 700], amplitude=10.0, width=3
-                )
-                yield chunk
-
-        scope.stream = noisy_stream
-        report = pipeline.run(n_chunks=2)
-        assert not report.beams[0].has_candidate
-
-    def test_grid_starting_at_zero_rejected_with_mitigation(self, setup):
-        scope = make_telescope(setup, [("b", ())])
-        with pytest.raises(PipelineError, match="zero-DM"):
-            SurveyPipeline(scope, DMTrialGrid(16, step=1.0), hd7970())
-
-    def test_mitigation_can_be_disabled(self, setup):
-        scope = make_telescope(setup, [("b", ())])
-        pipeline = SurveyPipeline(
-            scope, DMTrialGrid(16, step=1.0), hd7970(), rfi_mitigation=False
-        )
-        report = pipeline.run(n_chunks=1)
-        assert report.beams[0].masked_channels == 0
-
-    def test_report_summary_readable(self, setup, grid):
-        scope = make_telescope(
-            setup, [("host", (SyntheticPulsar(0.2, dm=8.0, amplitude=1.2),))]
-        )
-        report = SurveyPipeline(scope, grid, hd7970()).run(n_chunks=2)
-        text = report.summary()
-        assert "survey-test" in text and "host" in text
-
-    def test_realtime_flag(self, setup, grid):
-        scope = make_telescope(setup, [("b", ())])
-        report = SurveyPipeline(scope, grid, hd7970()).run(n_chunks=1)
-        assert report.all_realtime  # a toy problem on a simulated HD7970
+    def test_realtime_flag(self):
+        report = survey_with_host_beam()
+        assert report.realtime  # a toy problem on a simulated HD7970

@@ -12,6 +12,7 @@ from repro.astro.observation import ObservationSetup
 from repro.errors import SchedulerError, ShardError
 from repro.hardware.catalog import gtx680, hd7970
 from repro.obs import use_registry
+from repro.run import ExecutionRequest, execute
 from repro.sched import (
     ExecutionEngine,
     FaultProfile,
@@ -265,7 +266,7 @@ class TestObservability:
 
 
 class TestNumericExecution:
-    """execute_numeric: the engine's own sharding produces real numbers."""
+    """The engine's sharding, run through repro.run, yields real numbers."""
 
     def test_matches_unsharded_batched_launch(self, service, rng):
         import numpy as np
@@ -281,13 +282,23 @@ class TestNumericExecution:
         table = delay_table(SETUP, GRID.values)
         t = SETUP.samples_per_batch + int(table.max())
         batch = rng.normal(size=(2, SETUP.channels, t)).astype(np.float32)
-        stitched = engine.execute_numeric(batch, config)
+        def run_engine_shards(**kwargs):
+            request = ExecutionRequest(
+                data=batch,
+                config=config,
+                delay_table=engine.delay_table(),
+                shards=engine.shards_for_batch(0),
+                **kwargs,
+            )
+            return execute(request).output
+
+        stitched = run_engine_shards()
         reference = build_batched_kernel(
             config, SETUP.channels, SETUP.samples_per_batch, 2
         ).execute(batch, table)
         assert np.array_equal(stitched, reference)
         # Both executors stitch to the same bits.
-        fast = engine.execute_numeric(batch, config, backend="vectorized")
+        fast = run_engine_shards(backend="vectorized")
         assert np.array_equal(stitched, fast)
 
     def test_unknown_batch_rejected(self, service, rng):
@@ -301,4 +312,11 @@ class TestNumericExecution:
         )
         data = np.zeros((1, SETUP.channels, 10), dtype=np.float32)
         with pytest.raises(SchedulerError, match="no shards"):
-            engine.execute_numeric(data, config, batch=99)
+            execute(
+                ExecutionRequest(
+                    data=data,
+                    config=config,
+                    delay_table=engine.delay_table(),
+                    shards=engine.shards_for_batch(99),
+                )
+            )

@@ -6,13 +6,22 @@ import pytest
 from repro.astro.dispersion import delay_table
 from repro.core.config import KernelConfiguration
 from repro.errors import ShardError, ValidationError
-from repro.opencl_sim.batch import build_batched_kernel, execute_sharded
+from repro.opencl_sim.batch import build_batched_kernel
+from repro.run import ExecutionRequest, execute
 from repro.sched.shard import (
     Shard,
     dm_chunk_for_memory,
     shard_memory_bytes,
     shard_survey,
 )
+
+
+def stitch(config, batch, table, shards, **kwargs):
+    """Run ``shards`` through the sharded mode of :mod:`repro.run`."""
+    request = ExecutionRequest(
+        data=batch, config=config, delay_table=table, shards=shards, **kwargs
+    )
+    return execute(request).output
 
 
 class TestShard:
@@ -116,7 +125,7 @@ class TestShardedExecutionIsLossless:
         shards = shard_survey(
             toy_low, toy_grid, n_beams=3, duration_s=1.0, max_dms_per_shard=2
         )
-        stitched = execute_sharded(config, batch, table, shards)
+        stitched = stitch(config, batch, table, shards)
         assert np.array_equal(reference, stitched)
 
     def test_rejects_incomplete_cover(self, toy_low, toy_grid, rng):
@@ -130,7 +139,7 @@ class TestShardedExecutionIsLossless:
             toy_low, toy_grid, n_beams=1, duration_s=1.0, max_dms_per_shard=2
         )
         with pytest.raises(ValidationError, match="cover"):
-            execute_sharded(config, batch, table, shards[:-1])
+            stitch(config, batch, table, shards[:-1])
 
     def test_rejects_overlapping_shards(self, toy_low, toy_grid, rng):
         table = delay_table(toy_low, toy_grid.values)
@@ -143,13 +152,13 @@ class TestShardedExecutionIsLossless:
             toy_low, toy_grid, n_beams=1, duration_s=1.0, max_dms_per_shard=2
         )
         with pytest.raises(ValidationError, match="overlap"):
-            execute_sharded(config, batch, table, list(shards) + [shards[0]])
+            stitch(config, batch, table, list(shards) + [shards[0]])
 
     def test_rejects_negative_shard_coordinates(self, toy_low, toy_grid, rng):
         # Regression: a duck-typed shard with beam=-1 or dm_start=-2 used
         # to slice from the end of the arrays and double-cover rows
         # without tripping the coverage check (Shard itself rejects
-        # negatives, but execute_sharded must not rely on that).
+        # negatives, but sharded execution must not rely on that).
         import dataclasses
 
         table = delay_table(toy_low, toy_grid.values)
@@ -182,9 +191,9 @@ class TestShardedExecutionIsLossless:
             return [raw] + list(shards[1:])
 
         with pytest.raises(ValidationError, match="negative"):
-            execute_sharded(config, batch, table, with_raw(-1, 0))
+            stitch(config, batch, table, with_raw(-1, 0))
         with pytest.raises(ValidationError, match="negative"):
-            execute_sharded(config, batch, table, with_raw(0, -2))
+            stitch(config, batch, table, with_raw(0, -2))
 
     def test_backend_choice_stitches_identically(self, toy_low, toy_grid, rng):
         table = delay_table(toy_low, toy_grid.values)
@@ -196,8 +205,8 @@ class TestShardedExecutionIsLossless:
         shards = shard_survey(
             toy_low, toy_grid, n_beams=2, duration_s=1.0, max_dms_per_shard=2
         )
-        tiled = execute_sharded(config, batch, table, shards, backend="tiled")
-        fast = execute_sharded(
+        tiled = stitch(config, batch, table, shards, backend="tiled")
+        fast = stitch(
             config, batch, table, shards, backend="vectorized"
         )
         assert np.array_equal(tiled, fast)

@@ -29,6 +29,11 @@ class TestValidation:
     def test_rejects_non_positive_dm_override(self):
         with pytest.raises(ValidationError, match="n_dms"):
             SurveyPlan(n_dms=0)
+        # Both columns pin a configuration tiling 12 DMs per work-group.
+        with pytest.raises(ValidationError, match="multiple of 12"):
+            SurveyPlan(setup="high", n_dms=64)
+        plan = SurveyPlan(setup="high", n_dms=60).column().plan()
+        assert plan.grid.n_dms == 60
 
     def test_beam_sources_must_cover_every_beam(self):
         with pytest.raises(ValidationError, match="one source per beam"):

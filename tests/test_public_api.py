@@ -1,12 +1,11 @@
 """The curated public surface of the ``repro`` package.
 
 Guards the API contract: everything in ``repro.__all__`` is importable
-without a warning, the deprecated top-level aliases warn exactly once
-(and still work), and the blessed observability/service entry points are
-the same objects as their home-module definitions.
+without a warning, the names removed in 2.0.0 stay gone, and the blessed
+observability/service entry points are the same objects as their
+home-module definitions.
 """
 
-import importlib
 import warnings
 
 import pytest
@@ -54,68 +53,43 @@ class TestCuratedAll:
         assert repro.percentile is percentile
         assert repro.TuningService is TuningService
 
-    def test_dir_covers_all_and_aliases(self):
+    def test_dir_covers_all(self):
         listing = dir(repro)
         for name in repro.__all__:
             assert name in listing
-        for name in repro._DEPRECATED_ALIASES:
-            assert name in listing
 
 
-class TestDeprecatedTopLevelAliases:
-    def test_unknown_attribute_raises(self):
+#: Names ``repro`` exported before 2.0.0: seven top-level aliases of
+#: ``repro.core``/``repro.hardware`` definitions, and the legacy
+#: observation generator.
+REMOVED_NAMES = (
+    "hill_climb",
+    "random_search",
+    "dedisperse_reference",
+    "best_fixed_configuration",
+    "SubbandPlan",
+    "dedisperse_subband",
+    "CPUModel",
+    "generate_observation",
+)
+
+
+class TestRemovedNames:
+    @pytest.mark.parametrize(
+        "name", ("definitely_not_a_thing",) + REMOVED_NAMES
+    )
+    def test_unknown_attribute_raises(self, name):
         with pytest.raises(AttributeError, match="no attribute"):
-            repro.definitely_not_a_thing
+            getattr(repro, name)
 
-    @pytest.mark.parametrize("name", sorted(repro._DEPRECATED_ALIASES))
-    def test_alias_resolves_to_home_definition(self, name):
-        module_name, attribute = repro._DEPRECATED_ALIASES[name]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            via_alias = getattr(repro, name)
-        home = importlib.import_module(module_name)
-        assert via_alias is getattr(home, attribute)
+    def test_removed_names_are_not_in_all(self):
+        assert not set(REMOVED_NAMES) & set(repro.__all__)
 
-    def test_alias_warns_once_then_stays_quiet(self):
-        repro._warned_aliases.discard("hill_climb")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            repro.hill_climb
-            repro.hill_climb
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.core.heuristics" in str(deprecations[0].message)
-
-    def test_aliases_are_not_in_all(self):
-        assert not set(repro._DEPRECATED_ALIASES) & set(repro.__all__)
-
-
-class TestDeprecatedStatsPercentile:
-    def test_percentile_shim_warns_once_and_works(self):
-        from repro.service import stats
-
-        stats._warned.discard("_percentile")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            helper = stats._percentile
-            helper_again = stats._percentile
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.obs.percentile" in str(deprecations[0].message)
-        assert helper is helper_again is repro.percentile
-        assert helper([1.0, 2.0, 3.0], 0.5) == 2.0
-
-    def test_stats_module_rejects_other_privates(self):
+    def test_stats_percentile_alias_is_gone(self):
         from repro.service import stats
 
         with pytest.raises(AttributeError):
-            stats._not_a_percentile
+            stats._percentile
 
 
 class TestVersion:

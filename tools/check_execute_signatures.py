@@ -39,10 +39,6 @@ SRC = ROOT / "src"
 
 #: qualified name -> (file, exact parameter names, in order, sans self).
 PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
-    "DedispersionKernel.execute": (
-        "repro/opencl_sim/kernel.py",
-        ("input_data", "delay_table", "out", "backend"),
-    ),
     "DedispersionKernel._execute": (
         "repro/opencl_sim/kernel.py",
         ("input_data", "delay_table", "out", "backend"),
@@ -51,21 +47,9 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/opencl_sim/batch.py",
         ("input_data", "delay_table", "out", "backend"),
     ),
-    "execute_sharded": (
-        "repro/opencl_sim/batch.py",
-        ("config", "input_data", "delay_table", "shards", "out", "backend"),
-    ),
     "_execute_sharded": (
         "repro/opencl_sim/batch.py",
         ("config", "input_data", "delay_table", "shards", "out", "backend"),
-    ),
-    "ExecutionEngine.execute_numeric": (
-        "repro/sched/engine.py",
-        ("input_data", "config", "batch", "out", "backend"),
-    ),
-    "DedispersionPlan.execute": (
-        "repro/core/plan.py",
-        ("input_data", "out", "backend"),
     ),
     "execute": (
         "repro/run/facade.py",
@@ -79,23 +63,7 @@ PINNED: dict[str, tuple[str, tuple[str, ...]]] = {
         "repro/astro/source.py",
         ("data", "setup", "streams"),
     ),
-    # The PR-8 deprecation shims: the legacy survey entrypoints keep
-    # their exact signatures while delegating to repro.survey.legacy.
-    "SurveyPipeline.run": (
-        "repro/pipeline/survey.py",
-        ("n_chunks",),
-    ),
-    "MultiBeamScheduler.execute": (
-        "repro/pipeline/multibeam.py",
-        ("n_beams", "duration_s"),
-    ),
-    # The PR-10 service API redesign: resolve(request) is the one
-    # blessed entrypoint at both scales; the legacy keyword get() is a
-    # warn-once shim frozen at exactly this surface.
-    "TuningService.get": (
-        "repro/service/service.py",
-        ("device", "setup", "grid", "timeout_s"),
-    ),
+    # resolve(request) is the one tuning entrypoint at both scales.
     "TuningService.resolve": (
         "repro/service/service.py",
         ("request",),
