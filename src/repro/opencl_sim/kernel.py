@@ -1,7 +1,8 @@
 """Functional execution of a configured dedispersion kernel.
 
-:class:`DedispersionKernel` carries two interchangeable executors behind
-one launch entrypoint, which :func:`repro.run.execute` dispatches to:
+:class:`DedispersionKernel` carries three interchangeable executors
+behind one launch entrypoint, which :func:`repro.run.execute`
+dispatches to:
 
 * the **tiled** path replays the *same tiled decomposition* the
   generated OpenCL source describes — work-group by work-group, staging
@@ -13,15 +14,18 @@ one launch entrypoint, which :func:`repro.run.execute` dispatches to:
   output diverge from the sequential reference, which is exactly what
   the property-based tests check across the whole tuning space;
 * the **vectorized** path (:mod:`repro.opencl_sim.vectorized`) computes
-  every work-group of the launch per channel with whole-array gathers —
-  bit-identical output, an order of magnitude faster at realistic
-  scales.
+  every work-group of the launch at once, in cache-sized blocks of DM
+  rows with one whole-array gather per channel — bit-identical output;
+* the **channel_tile** path (:mod:`repro.opencl_sim.channel_tile`)
+  stages compact channel blocks — bit-identical, by explicit name only.
 
-Backend choice (``backend="tiled"|"vectorized"|"auto"``, plus the
-process-wide :envvar:`REPRO_KERNEL_BACKEND` pin) is resolved per launch
-by :func:`repro.opencl_sim.backend.resolve_backend`; every launch lands
-in the metrics registry as ``repro_kernel_launches_total{backend=...}``
-plus a ``repro_kernel_execute_seconds`` wall-time observation.
+Backend choice (``backend="tiled"|"vectorized"|"channel_tile"|"auto"``,
+plus the process-wide :envvar:`REPRO_KERNEL_BACKEND` pin) is resolved
+per launch by :func:`repro.opencl_sim.backend.resolve_backend`: ``auto``
+is ``tiled`` for one work-group and ``vectorized`` otherwise.  Every
+launch lands in the metrics registry as
+``repro_kernel_launches_total{backend=...}`` plus a
+``repro_kernel_execute_seconds`` wall-time observation.
 """
 
 from __future__ import annotations
@@ -117,20 +121,8 @@ class DedispersionKernel:
             out[...] = 0.0
 
         ndr = self.ndrange(n_dms)
-        reuse_span = (
-            int(
-                (delay_table.max(axis=0) - delay_table.min(axis=0)).max(
-                    initial=0
-                )
-            )
-            if n_dms
-            else 0
-        )
         choice = resolve_backend(
-            self.backend if backend is None else backend,
-            ndr.n_work_groups,
-            reuse_span=reuse_span,
-            samples=self.samples,
+            self.backend if backend is None else backend, ndr.n_work_groups
         )
         start = time.perf_counter()
         if choice == "vectorized":
@@ -186,7 +178,7 @@ class DedispersionKernel:
 def check_out(out: np.ndarray, shape: tuple[int, ...]) -> None:
     """Validate a caller-supplied output buffer: shape and float32 dtype.
 
-    Both executors accumulate in float32; writing through a float64 (or
+    Every executor accumulates in float32; writing through a float64 (or
     any other) ``out`` would silently change the arithmetic and break
     the bit-for-bit stitching guarantee of
     the sharded mode of :func:`repro.run.execute`.
