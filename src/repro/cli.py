@@ -367,7 +367,7 @@ def _service_pipeline_smoke(client, device) -> None:
 
     Proves the service's answer actually executes: a small synthetic
     instance is tuned *through the client*, the resulting plan
-    dedisperses one chunk via the streaming pipeline, and the same
+    dedisperses one chunk as a streaming request, and the same
     launch goes through the mini OpenCL runtime — so one ``repro
     service`` run populates tuner, service, pipeline, and simulator
     metrics for ``repro obs export``.
@@ -377,7 +377,7 @@ def _service_pipeline_smoke(client, device) -> None:
     from repro.astro.telescope import StreamChunk
     from repro.core.plan import DedispersionPlan
     from repro.opencl_sim import CommandQueue, Context, SimDevice
-    from repro.pipeline.streaming import StreamingDedispersion
+    from repro.run import ExecutionRequest, execute
     from repro.service import TuneRequest
 
     setup = ObservationSetup(
@@ -400,13 +400,12 @@ def _service_pipeline_smoke(client, device) -> None:
     data = rng.normal(
         size=(setup.channels, plan.samples + overlap)
     ).astype(np.float32)
-    stream = StreamingDedispersion(plan)
-    result = stream.process(
-        StreamChunk(
-            beam_index=0, sequence=0, data=data,
-            samples=plan.samples, overlap=overlap,
-        )
+    chunk = StreamChunk(
+        beam_index=0, sequence=0, data=data,
+        samples=plan.samples, overlap=overlap,
     )
+    result = execute(ExecutionRequest(plan=plan, chunks=(chunk,)))
+    realtime = result.chunk_results[0].realtime
     context = Context(SimDevice(device))
     queue = CommandQueue(context)
     input_buffer = context.alloc(data.shape)
@@ -416,7 +415,7 @@ def _service_pipeline_smoke(client, device) -> None:
     print(
         f"\npipeline smoke: {response.source} config "
         f"{response.best.config.describe()} processed 1 chunk "
-        f"({'real-time' if result.realtime else 'NOT real-time'}, "
+        f"({'real-time' if realtime else 'NOT real-time'}, "
         f"modelled {1e3 * (event.simulated_seconds or 0):.2f} ms)"
     )
 
@@ -513,9 +512,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
         ("tiled", "vectorized") if args.backend == "both" else (args.backend,)
     )
     config = SearchConfig(
-        snr_threshold=args.threshold,
-        rfi_mitigation=args.rfi,
-        fused=not args.staged,
+        snr_threshold=args.threshold, rfi_mitigation=args.rfi
     )
     print(plan.describe())
     print(f"injected pulsar at DM {true_dm:.2f} (trial {true_trial})")
@@ -526,10 +523,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
             iter(chunks)
         )
         print(report.summary())
-        path = "staged" if args.staged else "fused"
-        print(
-            f"  peak working set [{path}]: {report.peak_bytes:,} bytes/chunk"
-        )
+        print(f"  peak working set: {report.peak_bytes:,} bytes/chunk")
         best = report.best
         recovered = (
             best is not None
@@ -1071,11 +1065,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["tiled", "vectorized", "channel_tile", "auto", "both"],
         default="both",
         help="kernel executor(s); 'both' runs tiled then vectorized",
-    )
-    search.add_argument(
-        "--staged", action="store_true",
-        help="run the staged (materialise-the-plane) path instead of the "
-             "fused dedisperse→detect default, for comparison",
     )
     search.add_argument(
         "--dms", type=int, default=32, help="trial-DM count"

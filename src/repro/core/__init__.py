@@ -5,7 +5,7 @@ from repro.core.constraints import is_meaningful, explain_constraints
 from repro.core.space import TuningSpace
 from repro.core.tuner import AutoTuner, TuningResult, ConfigurationSample
 from repro.core.plan import DedispersionPlan
-from repro.core.dedisperse import dedisperse, dedisperse_reference
+from repro.core.dedisperse import dedisperse
 from repro.core.ai import (
     ai_no_reuse_bound,
     ai_perfect_reuse_bound,
@@ -40,7 +40,6 @@ __all__ = [
     "ConfigurationSample",
     "DedispersionPlan",
     "dedisperse",
-    "dedisperse_reference",
     "ai_no_reuse_bound",
     "ai_perfect_reuse_bound",
     "achieved_arithmetic_intensity",

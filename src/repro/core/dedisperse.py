@@ -1,9 +1,8 @@
-"""High-level dedispersion entry points.
+"""High-level dedispersion entry point.
 
 :func:`dedisperse` is the one-call API: channelised data in, DM-trial
-matrix out, auto-tuned under the hood.  :func:`dedisperse_reference` is the
-sequential Algorithm 1 oracle (re-exported from
-:mod:`repro.baselines.cpu_reference`) that everything is tested against.
+matrix out, auto-tuned under the hood.  The sequential Algorithm 1
+oracles it is tested against live in :mod:`repro.baselines.cpu_reference`.
 """
 
 from __future__ import annotations
@@ -62,14 +61,3 @@ def dedisperse(
     result = execute(ExecutionRequest(data=input_data, plan=plan))
     return result.output, plan
 
-
-def dedisperse_reference(
-    input_data: np.ndarray,
-    setup: ObservationSetup,
-    grid: DMTrialGrid,
-    samples: int,
-) -> np.ndarray:
-    """Sequential Algorithm 1 (the correctness oracle)."""
-    from repro.baselines.cpu_reference import dedisperse_vectorized
-
-    return dedisperse_vectorized(input_data, setup, grid, samples)

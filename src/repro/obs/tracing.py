@@ -1,9 +1,11 @@
 """Lightweight tracing: nested wall-clock spans feeding the registry.
 
 A span measures one named unit of work.  Spans nest per thread — a span
-opened while another is active becomes its child — so a pipeline run
-yields a tree: ``pipeline.chunk`` containing ``pipeline.dedisperse`` and
-``pipeline.single_pulse``, each with its own wall time.  On exit every
+opened while another is active becomes its child — so a streaming
+search yields a tree: ``search.run`` containing one ``search.chunk`` per
+chunk (each holding its ``run.execute`` request and that request's
+``run.fused_chunk`` pass) and a closing ``search.sift``, each with its
+own wall time.  On exit every
 span also lands in the metrics registry as one observation of
 ``repro_trace_span_seconds{span=<name>}`` plus an increment of
 ``repro_trace_spans_total{span=<name>}``, so exporters see span timing

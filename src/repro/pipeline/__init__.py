@@ -1,6 +1,8 @@
-"""Real-time pipeline: streaming, multi-beam scheduling, fleet sizing."""
+"""Real-time pipeline: multi-beam scheduling and fleet sizing.
 
-from repro.pipeline.streaming import StreamingDedispersion, ChunkResult
+Chunked streaming runs through :func:`repro.run.execute`.
+"""
+
 from repro.pipeline.multibeam import BeamAssignment, MultiBeamScheduler
 from repro.pipeline.fleet import FleetDevice, FleetPlan, execute_plan, plan_fleet
 from repro.pipeline.realtime import (
@@ -17,8 +19,6 @@ __all__ = [
     "FleetPlan",
     "execute_plan",
     "plan_fleet",
-    "StreamingDedispersion",
-    "ChunkResult",
     "BeamAssignment",
     "MultiBeamScheduler",
     "RealtimeReport",

@@ -5,9 +5,10 @@ One request type (:class:`ExecutionRequest`), one result type
 :mod:`repro.run.facade` for the dispatch table and
 ``docs/api.md`` for the request reference.
 
-The fused dedisperse→detect fast path lives in :mod:`repro.run.fused`
-(reached via ``detector=`` / ``mode="fused"`` requests); its
-deterministic peak-memory meter is :class:`repro.run.peak.MemoryAccount`.
+Streaming and fused requests share one chunk engine,
+:mod:`repro.run.fused`, whose per-chunk :class:`ChunkResult` lands in
+``ExecutionResult.chunk_results``; the fused pass's deterministic
+peak-memory meter is :class:`repro.run.peak.MemoryAccount`.
 """
 
 from repro.run.facade import (
@@ -16,15 +17,14 @@ from repro.run.facade import (
     ExecutionResult,
     execute,
 )
-from repro.run.fused import FusedChunkResult, run_fused_chunk
+from repro.run.fused import ChunkResult
 from repro.run.peak import MemoryAccount
 
 __all__ = [
+    "ChunkResult",
     "EXECUTION_MODES",
     "ExecutionRequest",
     "ExecutionResult",
-    "FusedChunkResult",
     "MemoryAccount",
     "execute",
-    "run_fused_chunk",
 ]

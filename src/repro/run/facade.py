@@ -19,12 +19,13 @@ mode           meaning
 ``sharded``    the same batch split into :class:`~repro.sched.shard.Shard`
                work units, stitched bit-identically
 ``streaming``  a tuned plan driven over an iterable of
-               :class:`~repro.astro.telescope.StreamChunk` objects
+               :class:`~repro.astro.telescope.StreamChunk` objects, one
+               launch per chunk (see :mod:`repro.run.fused`)
 ``fused``      streaming, but each chunk is dedispersed and searched
                slab-by-slab through a
                :class:`~repro.search.detect.MatchedFilterDetector`
                (``detector=``) without materialising the chunk's
-               DM×time plane — see :mod:`repro.run.fused`
+               DM×time plane
 =============  ===========================================================
 
 ``mode="auto"`` (the default) infers the mode from what the request
@@ -297,11 +298,10 @@ class ExecutionResult:
     and the time-concatenated ``(n_dms, total_samples)`` matrix for
     streaming mode (chunk overlap makes the concatenation bit-identical
     to dedispersing the whole stream at once; the per-chunk detail is in
-    ``chunk_results``).  Fused mode never materialises the plane —
-    ``output`` is ``None`` and the per-chunk
-    :class:`~repro.run.fused.FusedChunkResult` entries of
-    ``chunk_results`` carry the candidates and metered ``peak_bytes``
-    instead.
+    ``chunk_results``, one :class:`~repro.run.fused.ChunkResult` per
+    chunk).  Fused mode never materialises the plane — ``output`` is
+    ``None`` and the chunk results carry the candidates and metered
+    ``peak_bytes`` instead.
     """
 
     output: np.ndarray | None
@@ -331,14 +331,14 @@ class ExecutionResult:
         return tuple(
             candidate
             for chunk in self.chunk_results
-            for candidate in getattr(chunk, "candidates", ())
+            for candidate in chunk.candidates
         )
 
     @property
     def peak_bytes(self) -> int:
         """Largest metered per-chunk working set of a fused request."""
         return max(
-            (getattr(chunk, "peak_bytes", 0) for chunk in self.chunk_results),
+            (chunk.peak_bytes for chunk in self.chunk_results),
             default=0,
         )
 
@@ -489,25 +489,9 @@ def _resolve_scenario(request: ExecutionRequest):
     )
 
 
-def _run_streaming(request: ExecutionRequest):
-    from repro.pipeline.streaming import StreamingDedispersion
-
-    extras: dict = {}
-    chunks = request.chunks
-    if request.scenario is not None:
-        realized = _resolve_scenario(request)
-        extras["scenario"] = realized
-        chunks = realized.chunks
-    stream = StreamingDedispersion(request.plan, backend=request.backend)
-    results = tuple(stream.process(chunk) for chunk in chunks)
-    if not results:
-        raise ValidationError("streaming request carried no chunks")
-    output = np.concatenate([r.output for r in results], axis=1)
-    return output, len(results), results, extras
-
-
-def _run_fused(request: ExecutionRequest):
-    from repro.run.fused import run_fused_chunk
+def _run_chunks(request: ExecutionRequest):
+    """Streaming and fused modes: every chunk through :func:`run_chunk`."""
+    from repro.run.fused import run_chunk
 
     extras: dict = {}
     chunks = request.chunks
@@ -516,25 +500,28 @@ def _run_fused(request: ExecutionRequest):
         extras["scenario"] = realized
         chunks = realized.chunks
     results = tuple(
-        run_fused_chunk(
+        run_chunk(
             request.plan,
             chunk,
-            request.detector,
             backend=request.backend,
+            detector=request.detector,
             dm_tile=request.dm_tile,
         )
         for chunk in chunks
     )
     if not results:
-        raise ValidationError("fused request carried no chunks")
+        raise ValidationError("chunked request carried no chunks")
+    output = None
+    if request.detector is None:
+        output = np.concatenate([r.output for r in results], axis=1)
     launches = sum(r.launches for r in results)
-    return None, launches, results, extras
+    return output, launches, results, extras
 
 
 _RUNNERS = {
     "kernel": _run_kernel,
     "batched": _run_batched,
     "sharded": _run_sharded,
-    "streaming": _run_streaming,
-    "fused": _run_fused,
+    "streaming": _run_chunks,
+    "fused": _run_chunks,
 }

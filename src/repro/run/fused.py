@@ -1,18 +1,21 @@
-"""Fused dedisperse→detect execution of one stream chunk.
+"""One stream chunk through a tuned plan: the chunk engine of ``repro.run``.
 
-The staged streaming path materialises each chunk's full ``(n_dms,
-samples)`` dedispersion plane, hands it to the detector, and lets the
-detector build its own float64 copy — three plane-scale arrays alive at
-once before a single S/N is computed.  At Apertif scale that working set
-is what decides whether a beam fits on a node, not arithmetic.
+Streaming and fused requests both drive :func:`run_chunk` once per
+:class:`~repro.astro.telescope.StreamChunk`.  Each chunk carries an
+overlap region — the plan's maximum dispersion delay — so its final
+output samples need no future data, and concatenating the per-chunk
+planes is bit-identical to dedispersing the whole observation at once.
 
-This module fuses the two stages instead: the chunk is dedispersed one
-*DM-tile slab* at a time, and each freshly-computed slab is folded
-through :meth:`~repro.search.detect.MatchedFilterDetector.detect_slabs`
-and dropped before the next is produced.  The candidate list is
-bit-identical to the staged path (dedispersion is independent per DM
-row; every detector statistic is row-local), but the peak working set is
-one slab's, not the plane's.
+Without a detector the chunk's full ``(n_dms, samples)`` plane is
+dedispersed in one launch and returned.  With a
+:class:`~repro.search.detect.MatchedFilterDetector` the chunk is instead
+dedispersed one *DM-tile slab* at a time, and each freshly-computed
+slab is folded through
+:meth:`~repro.search.detect.MatchedFilterDetector.detect_slabs` and
+dropped before the next is produced.  The candidate list is
+bit-identical to detecting on the whole plane (dedispersion is
+independent per DM row; every detector statistic is row-local), but the
+peak working set is one slab's, not the plane's.
 
 Slabs are cut along the trial-DM axis in multiples of the
 configuration's ``tile_dms`` — the NDRange of
@@ -20,13 +23,12 @@ configuration's ``tile_dms`` — the NDRange of
 every plan's DM grid is already a whole number of tiles, so any
 tile-multiple slab size launches cleanly.
 
-Peak working-set bytes are metered by a
-:class:`~repro.run.peak.MemoryAccount` with the same charging rules the
-staged path uses, land in :attr:`FusedChunkResult.peak_bytes`, and are
-exported as the ``repro_run_peak_bytes{path="fused"}`` histogram; each
-chunk also counts toward ``repro_pipeline_chunks_total`` exactly as the
-staged pipeline's chunks do, since a fused chunk is the same pipeline
-stage.
+The fused pass meters its peak working-set bytes with a
+:class:`~repro.run.peak.MemoryAccount`; they land in
+:attr:`ChunkResult.peak_bytes` and the
+``repro_run_peak_bytes{path="fused"}`` histogram.  Every chunk counts
+toward ``repro_pipeline_chunks_total`` and sets the
+``repro_pipeline_realtime_margin`` gauge.
 """
 
 from __future__ import annotations
@@ -34,35 +36,37 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import PipelineError, ValidationError
 from repro.obs import get_registry, span
 from repro.run.peak import MemoryAccount
 
 
 @dataclass(frozen=True)
-class FusedChunkResult:
-    """What fusing dedispersion and detection over one chunk produced.
+class ChunkResult:
+    """What one stream chunk produced.
 
-    Unlike :class:`~repro.pipeline.streaming.ChunkResult` there is no
-    ``output`` plane — not materialising it is the point.  The chunk's
-    contribution to the search is its ``candidates`` (already shifted
-    onto the global stream timeline and labelled with the beam);
-    ``peak_bytes`` is the metered high-water working set of the fused
-    dedisperse→detect pass; ``launches`` counts the per-slab kernel
-    launches.  ``simulated_seconds`` / ``realtime`` carry the same
-    modelled dedispersion cost the staged pipeline reports, and
-    ``detect_seconds`` the measured detection wall time, so the
-    streaming search's virtual clock works identically on both paths.
+    ``output`` is the chunk's dedispersed ``(n_dms, samples)`` plane, or
+    ``None`` when a detector was folded in — not materialising it is the
+    point.  ``candidates`` are the fused pass's detections (already
+    shifted onto the global stream timeline and labelled with the beam;
+    empty without a detector); ``peak_bytes`` is the metered high-water
+    working set of that pass and ``detect_seconds`` its measured
+    detection wall time.  ``launches`` counts kernel launches (one per
+    slab when fused).  ``simulated_seconds`` / ``realtime`` carry the
+    plan's modelled dedispersion cost against the chunk's duration.
     """
 
     beam_index: int
     sequence: int
-    candidates: tuple
     simulated_seconds: float
-    detect_seconds: float
-    peak_bytes: int
-    launches: int
     realtime: bool
+    launches: int
+    output: np.ndarray | None = None
+    candidates: tuple = ()
+    detect_seconds: float = 0.0
+    peak_bytes: int = 0
 
 
 def resolve_dm_tile(n_dms: int, tile_dms: int, dm_tile: int | None) -> int:
@@ -86,23 +90,20 @@ def resolve_dm_tile(n_dms: int, tile_dms: int, dm_tile: int | None) -> int:
     return tile
 
 
-def run_fused_chunk(
+def run_chunk(
     plan,
     chunk,
-    detector,
     backend: str | None = None,
+    detector=None,
     dm_tile: int | None = None,
-) -> FusedChunkResult:
-    """Dedisperse and detect one stream chunk slab-by-slab.
+) -> ChunkResult:
+    """Dedisperse one stream chunk, searching it slab-by-slab if fused.
 
-    ``plan`` is a tuned :class:`~repro.core.plan.DedispersionPlan`,
-    ``chunk`` a :class:`~repro.astro.telescope.StreamChunk` whose payload
-    matches the plan's batch, ``detector`` a
-    :class:`~repro.search.detect.MatchedFilterDetector`.  Chunk
-    validation is identical to the staged pipeline's: payload length
-    must equal the plan batch and the overlap must cover the plan's
-    maximum delay, checked per chunk so a misconfigured front-end fails
-    loudly.
+    ``plan`` is a tuned :class:`~repro.core.plan.DedispersionPlan` and
+    ``chunk`` a :class:`~repro.astro.telescope.StreamChunk`.  The payload
+    length must equal the plan batch and the overlap must cover the
+    plan's maximum delay, checked per chunk so a misconfigured
+    front-end fails loudly rather than producing silently wrong tails.
     """
     if chunk.samples != plan.samples:
         raise PipelineError(
@@ -115,6 +116,42 @@ def run_fused_chunk(
             f"chunk overlap {chunk.overlap} < required maximum delay "
             f"{max_delay}"
         )
+    labels = {"device": plan.device.name, "setup": plan.setup.name}
+    if detector is None:
+        with span(
+            "pipeline.dedisperse",
+            beam=chunk.beam_index,
+            sequence=chunk.sequence,
+            **labels,
+        ):
+            output = plan.kernel._execute(
+                chunk.data, plan.delays, backend=backend
+            )
+        stage = "dedisperse"
+        detail = {"output": output, "launches": 1}
+    else:
+        stage = "fused"
+        detail = _fused_pass(plan, chunk, detector, backend, dm_tile, labels)
+
+    seconds = plan.predict().seconds
+    chunk_seconds = plan.samples / plan.setup.samples_per_second
+    registry = get_registry()
+    registry.counter("repro_pipeline_chunks_total", **labels).inc()
+    if seconds > 0.0:
+        registry.gauge(
+            "repro_pipeline_realtime_margin", stage=stage, **labels
+        ).set(chunk_seconds / seconds)
+    return ChunkResult(
+        beam_index=chunk.beam_index,
+        sequence=chunk.sequence,
+        simulated_seconds=seconds,
+        realtime=seconds <= chunk_seconds,
+        **detail,
+    )
+
+
+def _fused_pass(plan, chunk, detector, backend, dm_tile, labels) -> dict:
+    """Dedisperse and detect ``chunk`` one DM-tile slab at a time."""
     n_dms = plan.delays.shape[0]
     tile = resolve_dm_tile(n_dms, plan.config.tile_dms, dm_tile)
     account = MemoryAccount()
@@ -135,7 +172,6 @@ def run_fused_chunk(
             yield slab
             account.release(slab.nbytes)
 
-    labels = {"device": plan.device.name, "setup": plan.setup.name}
     with span(
         "run.fused_chunk",
         beam=chunk.beam_index,
@@ -152,48 +188,15 @@ def run_fused_chunk(
         )
         detect_s = time.perf_counter() - start - produce_s
 
-    seconds = plan.predict().seconds
-    chunk_seconds = plan.samples / plan.setup.samples_per_second
-    registry = get_registry()
-    registry.counter("repro_pipeline_chunks_total", **labels).inc()
-    if seconds > 0.0:
-        registry.gauge(
-            "repro_pipeline_realtime_margin", stage="fused", **labels
-        ).set(chunk_seconds / seconds)
-    registry.histogram("repro_run_peak_bytes", path="fused").observe(
+    get_registry().histogram("repro_run_peak_bytes", path="fused").observe(
         float(account.peak_bytes)
     )
-    return FusedChunkResult(
-        beam_index=chunk.beam_index,
-        sequence=chunk.sequence,
-        candidates=tuple(candidates),
-        simulated_seconds=seconds,
-        detect_seconds=max(detect_s, 0.0),
-        peak_bytes=account.peak_bytes,
-        launches=launches,
-        realtime=seconds <= chunk_seconds,
-    )
+    return {
+        "candidates": tuple(candidates),
+        "detect_seconds": max(detect_s, 0.0),
+        "peak_bytes": account.peak_bytes,
+        "launches": launches,
+    }
 
 
-def staged_peak_bytes(n_dms: int, samples: int) -> int:
-    """The staged path's *modelled* plane-scale peak, for comparison.
-
-    float32 kernel plane + the detector's float64 plane, centred copy
-    and cumulative sum, plus one width's boxcar sums and S/N — the
-    arrays a staged chunk holds live simultaneously under the same
-    accounting rules the fused path meters.  ``bench_fused.py`` prints
-    the measured number; this closed form documents where it comes from.
-    """
-    f32 = 4 * n_dms * samples
-    f64 = 8 * n_dms * samples
-    csum = 8 * n_dms * (samples + 1)
-    per_width = 2 * 8 * n_dms * samples  # sums + snr (width-1 bound)
-    return f32 + f64 + f64 + csum + per_width
-
-
-__all__ = [
-    "FusedChunkResult",
-    "resolve_dm_tile",
-    "run_fused_chunk",
-    "staged_peak_bytes",
-]
+__all__ = ["ChunkResult", "resolve_dm_tile", "run_chunk"]

@@ -6,14 +6,14 @@ facade, matched-filtered by :class:`~repro.search.detect.MatchedFilterDetector`,
 and the pooled detections are sifted once at the end of the stream (so a
 pulse straddling a chunk boundary dedupes correctly).
 
-By default each chunk runs the facade's **fused** mode
-(:mod:`repro.run.fused`): dedispersion and detection interleave over
-DM-tile slabs, so the chunk's full DM×time plane never exists in memory
-and every chunk record carries the metered ``peak_bytes`` of its working
-set.  ``SearchConfig(fused=False)`` restores the staged
-dedisperse-everything-then-detect path; both produce bit-identical
-candidate lists (the detector's statistics are row-local), which
-``benchmarks/bench_fused.py`` and the scenario regression goldens pin.
+Each chunk runs the facade's **fused** mode (:mod:`repro.run.fused`):
+dedispersion and detection interleave over DM-tile slabs, so the
+chunk's full DM×time plane never exists in memory and every chunk
+record carries the metered ``peak_bytes`` of its working set.  The
+candidates are bit-identical to detecting on each chunk's whole plane
+(the detector's statistics are row-local), which the tests and
+``benchmarks/bench_fused.py`` check against that staged composition of
+public calls.
 
 Real time is modelled the way :mod:`repro.sched` models it — on a
 virtual clock, so runs are deterministic and laptop-speed-independent
@@ -40,7 +40,6 @@ vocabulary: ``realtime_sustained`` (every chunk met its deadline),
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,14 +49,9 @@ from repro.astro.telescope import StreamChunk
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.obs import get_registry, span
-from repro.run.peak import MemoryAccount
 from repro.search.detect import DEFAULT_WIDTHS, MatchedFilterDetector
 from repro.search.sift import SiftPolicy, SiftResult, sift_candidates
-from repro.utils.validation import (
-    require_non_negative,
-    require_positive,
-    require_positive_int,
-)
+from repro.utils.validation import require_non_negative, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -70,18 +64,11 @@ class SearchConfig:
     before dedispersion (requires a grid starting above DM 0).
 
     ``queue_capacity`` bounds the arrival queue (chunks waiting while
-    the worker is busy); ``deadline_factor`` scales the per-chunk
-    deadline (``arrival + deadline_factor * chunk_seconds``).
-    ``min_service_seconds`` floors the modelled per-chunk service time —
-    zero in production; tests and capacity studies raise it to emulate a
-    slower device and drive the queue into backpressure
+    the worker is busy); a chunk's deadline is one chunk duration after
+    its arrival.  ``min_service_seconds`` floors the modelled per-chunk
+    service time — zero in production; tests and capacity studies raise
+    it to emulate a slower device and drive the queue into backpressure
     deterministically.
-
-    ``fused`` selects the fused dedisperse→detect fast path (the
-    default): each chunk is searched slab-by-slab without materialising
-    its DM×time plane.  ``fused=False`` runs the staged path instead —
-    candidates are bit-identical either way; only the peak working set
-    (and the ``repro_run_peak_bytes{path=...}`` label) differs.
     """
 
     snr_threshold: float = 6.0
@@ -89,13 +76,10 @@ class SearchConfig:
     sift_policy: SiftPolicy = field(default_factory=SiftPolicy)
     rfi_mitigation: bool = False
     queue_capacity: int = 4
-    deadline_factor: float = 1.0
     min_service_seconds: float = 0.0
-    fused: bool = True
 
     def __post_init__(self) -> None:
         require_positive_int(self.queue_capacity, "queue_capacity")
-        require_positive(self.deadline_factor, "deadline_factor")
         require_non_negative(self.min_service_seconds, "min_service_seconds")
 
 
@@ -312,9 +296,7 @@ class StreamingSearch:
             widths=self.config.widths,
         )
         self.chunk_seconds = plan.samples / plan.setup.samples_per_second
-        self.deadline_seconds = (
-            self.config.deadline_factor * self.chunk_seconds
-        )
+        self.deadline_seconds = self.chunk_seconds
         grid = plan.grid
         if (
             self.config.rfi_mitigation
@@ -371,58 +353,22 @@ class StreamingSearch:
                     "search.chunk", sequence=chunk.sequence, **labels
                 ):
                     prepared = self._prepare(chunk)
-                    if self.config.fused:
-                        result = execute(
-                            ExecutionRequest(
-                                plan=self.plan,
-                                chunks=(prepared,),
-                                backend=self.backend,
-                                detector=self.detector,
-                            )
+                    result = execute(
+                        ExecutionRequest(
+                            plan=self.plan,
+                            chunks=(prepared,),
+                            backend=self.backend,
+                            detector=self.detector,
                         )
-                        resolved_backend = result.backend
-                        fused_chunk = result.chunk_results[0]
-                        dedisp_seconds = fused_chunk.simulated_seconds
-                        detect_seconds = fused_chunk.detect_seconds
-                        found = list(fused_chunk.candidates)
-                        peak_bytes = fused_chunk.peak_bytes
-                    else:
-                        result = execute(
-                            ExecutionRequest(
-                                plan=self.plan,
-                                chunks=(prepared,),
-                                backend=self.backend,
-                            )
-                        )
-                        resolved_backend = result.backend
-                        dedisp_seconds = result.chunk_results[
-                            0
-                        ].simulated_seconds
-                        account = MemoryAccount()
-                        account.charge(result.output.nbytes)
-                        detect_start = time.perf_counter()
-                        with span(
-                            "search.detect",
-                            sequence=chunk.sequence,
-                            **labels,
-                        ):
-                            found = self.detector.detect(
-                                result.output,
-                                self.plan.grid.values,
-                                time_offset=chunk.sequence
-                                * self.plan.samples,
-                                beam=chunk.beam_index,
-                                account=account,
-                            )
-                        detect_seconds = time.perf_counter() - detect_start
-                        peak_bytes = account.peak_bytes
-                        registry.histogram(
-                            "repro_run_peak_bytes", path="staged"
-                        ).observe(float(peak_bytes))
+                    )
+                    resolved_backend = result.backend
+                    chunk_result = result.chunk_results[0]
+                    found = chunk_result.candidates
                     raw.extend(found)
 
+                detect_seconds = chunk_result.detect_seconds
                 service = max(
-                    dedisp_seconds + detect_seconds,
+                    chunk_result.simulated_seconds + detect_seconds,
                     self.config.min_service_seconds,
                 )
                 start = max(arrival, busy_until)
@@ -436,7 +382,7 @@ class StreamingSearch:
                     finish_s=busy_until,
                     service_s=service,
                     n_raw=len(found),
-                    peak_bytes=peak_bytes,
+                    peak_bytes=chunk_result.peak_bytes,
                 )
                 records.append(record)
                 registry.counter(

@@ -138,3 +138,43 @@ def observe(
         setup, n_samples, RandomStreams(seed)
     )
     return data
+
+
+def staged_search(plan, chunks, detector, policy=None, backend=None):
+    """The staged reference of a fused search, built from public calls.
+
+    Each chunk's whole plane is materialised with
+    ``execute(...chunks=(chunk,)).output``, charged to a fresh
+    :class:`~repro.run.MemoryAccount` and searched with
+    :meth:`~repro.search.detect.MatchedFilterDetector.detect`; the pooled
+    detections are sifted once at the end.  Returns ``(per_chunk,
+    sifted, peaks)``: each chunk's raw candidates, the
+    :class:`~repro.search.sift.SiftResult` of them all, and each chunk's
+    metered peak working-set bytes.
+    """
+    from repro.run import ExecutionRequest, MemoryAccount, execute
+    from repro.search.sift import SiftPolicy, sift_candidates
+
+    per_chunk, peaks = [], []
+    for chunk in chunks:
+        output = execute(
+            ExecutionRequest(plan=plan, chunks=(chunk,), backend=backend)
+        ).output
+        account = MemoryAccount()
+        account.charge(output.nbytes)
+        per_chunk.append(
+            detector.detect(
+                output,
+                plan.grid.values,
+                time_offset=chunk.sequence * plan.samples,
+                beam=chunk.beam_index,
+                account=account,
+            )
+        )
+        peaks.append(account.peak_bytes)
+    sifted = sift_candidates(
+        [c for found in per_chunk for c in found],
+        plan.grid.values,
+        policy or SiftPolicy(),
+    )
+    return per_chunk, sifted, peaks

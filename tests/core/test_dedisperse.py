@@ -7,7 +7,8 @@ from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.source import NoiseSource, PulsarSource
 from repro.astro.snr import detect_dm
-from repro.core.dedisperse import dedisperse, dedisperse_reference
+from repro.baselines.cpu_reference import dedisperse_vectorized
+from repro.core.dedisperse import dedisperse
 from repro.errors import ValidationError
 from repro.hardware.catalog import gtx680
 from repro.run import ExecutionRequest, execute
@@ -18,7 +19,7 @@ class TestDedisperse:
     def test_matches_reference(self, toy_low, toy_grid, rng):
         data = make_input(toy_low, toy_grid, rng)
         out, plan = dedisperse(data, toy_low, toy_grid, samples=400)
-        ref = dedisperse_reference(data, toy_low, toy_grid, 400)
+        ref = dedisperse_vectorized(data, toy_low, toy_grid, 400)
         np.testing.assert_allclose(out, ref, rtol=1e-5)
         assert plan.samples == 400
 

@@ -10,7 +10,6 @@ from repro.astro.snr import detect_dm, folded_profile
 from repro.astro.telescope import Telescope
 from repro.core.plan import DedispersionPlan
 from repro.hardware.catalog import gtx_titan, hd7970
-from repro.pipeline.streaming import StreamingDedispersion
 from repro.run import ExecutionRequest, execute
 
 
@@ -44,8 +43,9 @@ class TestSurveyPipeline:
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        stream = StreamingDedispersion(plan)
-        results = stream.process_stream(telescope.stream(beam, 3, grid))
+        results = execute(
+            ExecutionRequest(plan=plan, chunks=telescope.stream(beam, 3, grid))
+        ).chunk_results
         assert len(results) == 3
         for result in results:
             detection = detect_dm(result.output, grid.values)
@@ -111,8 +111,8 @@ class TestSurveyPipeline:
         plan = DedispersionPlan.create(
             survey_setup, grid, hd7970(), samples=1000
         )
-        stream = StreamingDedispersion(plan)
         for beam, expected_dm in ((beam_a, 3.0), (beam_b, 9.0)):
-            chunk = next(iter(telescope.stream(beam, 1, grid)))
-            detection = detect_dm(stream.process(chunk).output, grid.values)
+            chunks = telescope.stream(beam, 1, grid)
+            output = execute(ExecutionRequest(plan=plan, chunks=chunks)).output
+            detection = detect_dm(output, grid.values)
             assert abs(detection.dm - expected_dm) <= grid.step

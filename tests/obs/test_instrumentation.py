@@ -18,7 +18,7 @@ from repro.hardware.catalog import hd7970
 from repro.obs.registry import use_registry
 from repro.opencl_sim.runtime import CommandQueue, Context, SimDevice
 from repro.pipeline.realtime import realtime_report
-from repro.pipeline.streaming import StreamingDedispersion
+from repro.run import ExecutionRequest, execute
 from repro.service import ServiceClient, TuneRequest, TuningService
 
 DEVICE = hd7970()
@@ -117,7 +117,9 @@ class TestPipelineInstrumentation:
         beam = telescope.add_beam()
         chunk = next(iter(telescope.stream(beam, 1, toy_grid)))
         with use_registry() as reg:
-            result = StreamingDedispersion(plan).process(chunk)
+            result = execute(
+                ExecutionRequest(plan=plan, chunks=(chunk,))
+            ).chunk_results[0]
             labels = {"device": DEVICE.name, "setup": toy_low.name}
             assert reg.counter(
                 "repro_pipeline_chunks_total", **labels

@@ -1,4 +1,4 @@
-"""Unit tests for repro.pipeline.streaming."""
+"""Streaming a tuned plan over chunks through ``repro.run.execute``."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,8 @@ from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
 from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
-from repro.pipeline.streaming import StreamingDedispersion
 from repro.run import ExecutionRequest, execute
+from repro.search.detect import MatchedFilterDetector
 
 
 @pytest.fixture
@@ -29,17 +29,30 @@ def telescope(toy_low):
     return Telescope(setup=toy_low, noise_sigma=0.5, seed=9)
 
 
+def chunked_requests(plan, chunk):
+    """One streaming and one fused request for the same single chunk."""
+    return (
+        ExecutionRequest(plan=plan, chunks=(chunk,)),
+        ExecutionRequest(
+            plan=plan,
+            chunks=(chunk,),
+            detector=MatchedFilterDetector.for_samples(plan.samples),
+        ),
+    )
+
+
 class TestProcess:
     def test_chunk_result_fields(self, plan, telescope, toy_grid):
         beam = telescope.add_beam()
         chunk = next(iter(telescope.stream(beam, 1, toy_grid)))
-        stream = StreamingDedispersion(plan)
-        result = stream.process(chunk)
-        assert result.beam_index == beam.index
-        assert result.sequence == 0
-        assert result.output.shape == (toy_grid.n_dms, plan.samples)
-        assert result.simulated_seconds > 0
-        assert stream.processed == 1
+        result = execute(ExecutionRequest(plan=plan, chunks=(chunk,)))
+        (chunk_result,) = result.chunk_results
+        assert chunk_result.beam_index == beam.index
+        assert chunk_result.sequence == 0
+        assert chunk_result.output.shape == (toy_grid.n_dms, plan.samples)
+        assert chunk_result.simulated_seconds > 0
+        assert chunk_result.candidates == ()
+        assert result.launches == 1
 
     def test_streaming_equals_batch(self, plan, telescope, toy_grid, toy_low):
         # Concatenated chunk outputs must be bit-identical to dedispersing
@@ -49,9 +62,9 @@ class TestProcess:
         )
         n_chunks = 3
         chunks = list(telescope.stream(beam, n_chunks, toy_grid))
-        stream = StreamingDedispersion(plan)
-        outputs = [stream.process(c).output for c in chunks]
-        streamed = np.concatenate(outputs, axis=1)
+        streamed = execute(
+            ExecutionRequest(plan=plan, chunks=tuple(chunks))
+        ).output
 
         # Rebuild the full observation from chunk payloads + final overlap.
         payload = np.concatenate(
@@ -69,15 +82,19 @@ class TestProcess:
         batch = np.concatenate(batch_outputs, axis=1)
         np.testing.assert_array_equal(streamed, batch)
 
-    def test_process_stream_orders_results(self, plan, telescope, toy_grid):
+    def test_chunk_results_in_stream_order(self, plan, telescope, toy_grid):
         beam = telescope.add_beam()
-        results = StreamingDedispersion(plan).process_stream(
-            telescope.stream(beam, 4, toy_grid)
+        result = execute(
+            ExecutionRequest(
+                plan=plan, chunks=telescope.stream(beam, 4, toy_grid)
+            )
         )
-        assert [r.sequence for r in results] == [0, 1, 2, 3]
+        assert [r.sequence for r in result.chunk_results] == [0, 1, 2, 3]
 
 
 class TestValidation:
+    """Both chunked modes check every chunk against the plan."""
+
     def test_rejects_wrong_payload(self, plan, toy_low):
         bad = StreamChunk(
             beam_index=0,
@@ -86,8 +103,9 @@ class TestValidation:
             samples=200,
             overlap=100,
         )
-        with pytest.raises(PipelineError, match="does not match"):
-            StreamingDedispersion(plan).process(bad)
+        for request in chunked_requests(plan, bad):
+            with pytest.raises(PipelineError, match="does not match"):
+                execute(request)
 
     def test_rejects_insufficient_overlap(self, plan, toy_low):
         s = plan.samples
@@ -98,5 +116,6 @@ class TestValidation:
             samples=s,
             overlap=1,
         )
-        with pytest.raises(PipelineError, match="overlap"):
-            StreamingDedispersion(plan).process(bad)
+        for request in chunked_requests(plan, bad):
+            with pytest.raises(PipelineError, match="overlap"):
+                execute(request)

@@ -18,6 +18,7 @@ from repro.run import (
     execute,
 )
 from repro.sched import shard_survey
+from repro.search.detect import MatchedFilterDetector
 from tests.conftest import make_input
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
@@ -296,6 +297,32 @@ class TestStreamingMode:
     def test_empty_stream_rejected(self, plan):
         with pytest.raises(ValidationError, match="no chunks"):
             execute(ExecutionRequest(plan=plan, chunks=()))
+
+    @pytest.mark.parametrize("mode", ["streaming", "fused"])
+    def test_one_call_is_one_request(self, plan, toy_low, toy_grid, mode):
+        # The chunk engine launches kernels directly: a chunked call must
+        # not count (or trace) a nested kernel-mode request per chunk.
+        telescope = Telescope(setup=toy_low, noise_sigma=0.5, seed=3)
+        chunks = tuple(telescope.stream(telescope.add_beam(), 3, toy_grid))
+        detector = (
+            MatchedFilterDetector.for_samples(plan.samples)
+            if mode == "fused"
+            else None
+        )
+        with use_registry() as registry:
+            execute(
+                ExecutionRequest(plan=plan, chunks=chunks, detector=detector)
+            )
+            requests = {
+                series.labels["mode"]: series.value
+                for series in registry.series()
+                if series.name == "repro_run_requests_total"
+            }
+            spans = registry.counter(
+                "repro_trace_spans_total", span="run.execute"
+            ).value
+        assert requests == {mode: 1}
+        assert spans == 1
 
 
 class TestScenarioInput:

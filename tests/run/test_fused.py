@@ -7,12 +7,13 @@ from repro.astro.signal_gen import SyntheticPulsar
 from repro.astro.telescope import Telescope
 from repro.core.config import KernelConfiguration
 from repro.core.plan import DedispersionPlan
-from repro.errors import PipelineError, ValidationError
+from repro.errors import ValidationError
 from repro.hardware.catalog import hd7970
 from repro.obs import use_registry
 from repro.run import ExecutionRequest, MemoryAccount, execute
-from repro.run.fused import resolve_dm_tile, run_fused_chunk
+from repro.run.fused import resolve_dm_tile
 from repro.search.detect import MatchedFilterDetector
+from tests.conftest import staged_search
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
 
@@ -83,20 +84,6 @@ class TestRequestValidation:
                 ExecutionRequest(plan=plan, chunks=(), detector=detector)
             )
 
-    def test_chunk_validation_matches_staged_pipeline(
-        self, plan, toy_low, toy_grid, detector
-    ):
-        chunk = make_chunks(toy_low, toy_grid)[0]
-        bad = type(chunk)(
-            beam_index=chunk.beam_index,
-            sequence=chunk.sequence,
-            data=chunk.data[:, : chunk.samples],
-            samples=chunk.samples,
-            overlap=0,
-        )
-        with pytest.raises(PipelineError, match="overlap"):
-            run_fused_chunk(plan, bad, detector)
-
 
 class TestDmTile:
     def test_default_is_tile_multiple(self):
@@ -121,17 +108,8 @@ class TestFusedExecution:
                 plan=plan, chunks=tuple(chunks), detector=detector
             )
         )
-        staged = []
-        for chunk in chunks:
-            result = execute(ExecutionRequest(plan=plan, chunks=(chunk,)))
-            staged.extend(
-                detector.detect(
-                    result.output,
-                    toy_grid.values,
-                    time_offset=chunk.sequence * plan.samples,
-                    beam=chunk.beam_index,
-                )
-            )
+        per_chunk, _, _ = staged_search(plan, chunks, detector)
+        staged = [c for found in per_chunk for c in found]
         assert fused.candidates == tuple(staged)
         assert fused.mode == "fused"
         assert fused.output is None
@@ -215,13 +193,10 @@ class TestPeakAccounting:
                 dm_tile=8,
             )
         )
-        account = MemoryAccount()
-        staged = execute(ExecutionRequest(plan=plan, chunks=(chunks[0],)))
-        account.charge(staged.output.nbytes)
-        detector.detect(staged.output, grid.values, account=account)
-        assert fused.peak_bytes < account.peak_bytes
+        _, _, peaks = staged_search(plan, chunks[:1], detector)
+        assert fused.peak_bytes < peaks[0]
         # 4 slabs → roughly a 4x reduction of the plane-scale arrays.
-        assert account.peak_bytes >= 3 * fused.peak_bytes
+        assert peaks[0] >= 3 * fused.peak_bytes
 
     def test_peak_metric_emitted(self, plan, toy_low, toy_grid, detector):
         chunks = tuple(make_chunks(toy_low, toy_grid))
@@ -238,8 +213,8 @@ class TestPeakAccounting:
     def test_pipeline_chunk_metric_still_emitted(
         self, plan, toy_low, toy_grid, detector
     ):
-        # The fused path performs the same pipeline stage as the staged
-        # one, so the chunk counter the CI grep pins must keep moving.
+        # A fused chunk is the same pipeline stage as a streaming one,
+        # so the chunk counter the CI grep pins must keep moving.
         chunks = tuple(make_chunks(toy_low, toy_grid))
         with use_registry() as registry:
             execute(
@@ -257,7 +232,9 @@ class TestPeakAccounting:
         # Every charge must have a matching release: a leak would grow
         # the high-water mark of longer streams without bound.
         chunk = make_chunks(toy_low, toy_grid)[0]
-        result = run_fused_chunk(plan, chunk, detector)
+        result = execute(
+            ExecutionRequest(plan=plan, chunks=(chunk,), detector=detector)
+        ).chunk_results[0]
         assert result.peak_bytes > 0
         account = MemoryAccount()
         account.charge(100)

@@ -14,6 +14,7 @@ from repro.errors import PipelineError
 from repro.hardware.catalog import hd7970
 from repro.obs import use_registry
 from repro.search import SearchConfig, StreamingSearch, search_stream
+from tests.conftest import staged_search
 
 CONFIG = KernelConfiguration(16, 4, 5, 2)
 INJECTED_TRIAL = 4
@@ -346,52 +347,49 @@ class TestVerdictSemantics:
 
 
 class TestFusedPath:
-    def test_fused_is_the_default(self):
-        assert SearchConfig().fused
-
     def test_fused_and_staged_find_identical_candidates(
         self, plan, toy_low, toy_grid
     ):
         chunks = make_chunks(toy_low, toy_grid, n_chunks=3)
+        config = SearchConfig()
         fused = search_stream(
-            plan, iter(chunks), SearchConfig(fused=True),
+            plan, iter(chunks), config, backend="vectorized"
+        )
+        per_chunk, staged, _ = staged_search(
+            plan,
+            chunks,
+            StreamingSearch(plan, config).detector,
+            config.sift_policy,
             backend="vectorized",
         )
-        staged = search_stream(
-            plan, iter(chunks), SearchConfig(fused=False),
-            backend="vectorized",
-        )
-        assert fused.result.accepted == staged.result.accepted
-        assert fused.result.vetoed == staged.result.vetoed
+        assert fused.result.accepted == staged.accepted
+        assert fused.result.vetoed == staged.vetoed
         assert [r.n_raw for r in fused.records] == [
-            r.n_raw for r in staged.records
+            len(found) for found in per_chunk
         ]
 
     def test_verdict_payload_identical_across_paths(
         self, plan, toy_low, toy_grid
     ):
         # The scenario goldens compare verdict payloads exactly; the
-        # fused default must not perturb them.
+        # per-chunk counts must be the staged composition's.
         chunks = make_chunks(toy_low, toy_grid, n_chunks=3)
-        fused = search_stream(plan, iter(chunks), SearchConfig(fused=True))
-        staged = search_stream(plan, iter(chunks), SearchConfig(fused=False))
-        assert fused.verdict_payload() == staged.verdict_payload()
+        fused = search_stream(plan, iter(chunks))
+        per_chunk, _, _ = staged_search(
+            plan, chunks, StreamingSearch(plan).detector
+        )
+        payload = fused.verdict_payload()
+        assert payload["per_chunk"] == [
+            {"sequence": c.sequence, "dropped": False, "n_raw": len(found)}
+            for c, found in zip(chunks, per_chunk)
+        ]
+        assert payload["chunks_processed"] == len(chunks)
+        assert payload["dropped_sequences"] == []
 
     def test_chunk_records_carry_peak_bytes(self, plan, toy_low, toy_grid):
         report = search_stream(plan, iter(make_chunks(toy_low, toy_grid)))
         assert all(r.peak_bytes > 0 for r in report.records)
         assert report.peak_bytes == max(r.peak_bytes for r in report.records)
-
-    def test_staged_path_meters_and_labels_peak(self, plan, toy_low, toy_grid):
-        with use_registry() as registry:
-            search_stream(
-                plan,
-                iter(make_chunks(toy_low, toy_grid)),
-                SearchConfig(fused=False),
-            )
-            hist = registry.histogram("repro_run_peak_bytes", path="staged")
-            assert hist.count == 2
-            assert hist.sum > 0
 
     def test_fused_path_emits_fused_label(self, plan, toy_low, toy_grid):
         with use_registry() as registry:
