@@ -166,7 +166,7 @@ from repro.survey import (
 )
 from repro.utils import RandomStreams, derive_seed
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 #: The curated public surface.  Everything here is a blessed entry point:
 #: importable from ``repro``, stable across minor versions, and asserted

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.constants import BYTES_PER_SAMPLE, FLOP_PER_ELEMENT
+from repro.errors import ValidationError
 from repro.utils.validation import require, require_positive, require_positive_int
 
 
@@ -166,3 +167,12 @@ def lofar(samples_per_batch: int | None = None) -> ObservationSetup:
         samples_per_second=200_000,
         samples_per_batch=samples_per_batch or 0,
     )
+
+
+def setup_by_name(name: str) -> ObservationSetup:
+    """Look a paper setup up by (case-insensitive) name."""
+    for factory in (apertif, lofar):
+        setup = factory()
+        if setup.name.lower() == name.lower():
+            return setup
+    raise ValidationError(f"unknown setup {name!r}; known: apertif, lofar")

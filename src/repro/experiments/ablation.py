@@ -7,8 +7,8 @@ design decision of the kernel/tuner and quantifies its contribution:
 * ``coalescing`` — the unaligned-read overhead on/off (Sec. III-B);
 * ``parameters`` — 1-D sensitivity slices through the tuned optimum
   (how much each of the four parameters matters individually);
-* ``tuner`` — exhaustive sweep vs budgeted random search vs hill
-  climbing (how hard the optimum is to find);
+* ``tuner`` — exhaustive sweep vs budgeted random search, hill
+  climbing and simulated annealing (how hard the optimum is to find);
 * ``phi`` — the 2013 OpenCL Xeon Phi vs the paper's projected native
   OpenMP implementation (the stated future work);
 * ``subband`` — brute-force vs two-step dedispersion cost and accuracy.
@@ -21,7 +21,6 @@ import logging
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif, lofar
 from repro.core.config import KernelConfiguration
-from repro.core.heuristics import hill_climb, random_search, simulated_annealing
 from repro.core.subband import SubbandPlan
 from repro.core.tuner import AutoTuner
 from repro.experiments.base import (
@@ -33,6 +32,7 @@ from repro.experiments.base import (
 from repro.errors import ReproError
 from repro.hardware.catalog import hd7970, xeon_phi_5110p, xeon_phi_5110p_openmp
 from repro.hardware.model import PerformanceModel
+from repro.tune.strategy import HillClimb, RandomSearch, SimulatedAnnealing
 
 logger = logging.getLogger(__name__)
 
@@ -193,30 +193,27 @@ def run_ablation_parameters(
 
 
 def run_ablation_tuner(n_dms: int = 1024, budget: int = 40) -> ExperimentResult:
-    """Exhaustive vs random search vs hill climbing."""
+    """Exhaustive vs random search vs hill climbing vs annealing."""
+    strategies = (
+        RandomSearch(budget=budget),
+        HillClimb(budget=budget),
+        SimulatedAnnealing(budget=budget),
+    )
     rows = []
     for setup in standard_setups():
         for device in (hd7970(),):
             grid = DMTrialGrid(n_dms)
-            exhaustive = AutoTuner(device, setup).tune(grid)
-            rand = random_search(device, setup, grid, budget=budget, seed=0)
-            hill = hill_climb(device, setup, grid, budget=budget, seed=0)
-            anneal = simulated_annealing(
-                device, setup, grid, budget=budget, seed=0
-            )
+            tuner = AutoTuner(device, setup)
+            exhaustive = tuner.tune(grid)
             best = exhaustive.best.gflops
+            found = [s.search(tuner, grid).best.gflops for s in strategies]
             rows.append(
                 (
                     setup.name,
                     device.name,
                     exhaustive.n_configurations,
                     f"{best:.1f}",
-                    f"{rand.best_gflops:.1f} "
-                    f"({rand.best_gflops / best:.0%})",
-                    f"{hill.best_gflops:.1f} "
-                    f"({hill.best_gflops / best:.0%})",
-                    f"{anneal.best_gflops:.1f} "
-                    f"({anneal.best_gflops / best:.0%})",
+                    *(f"{g:.1f} ({g / best:.0%})" for g in found),
                 )
             )
     return ExperimentResult(
@@ -226,8 +223,7 @@ def run_ablation_tuner(n_dms: int = 1024, budget: int = 40) -> ExperimentResult:
             f"(heuristic budget {budget} evaluations)"
         ),
         headers=("Setup", "Device", "space", "exhaustive",
-                 f"random[{budget}]", f"hill-climb[{budget}]",
-                 f"annealing[{budget}]"),
+                 *(f"{s.name}[{budget}]" for s in strategies)),
         rows=tuple(rows),
         notes=(
             "The multimodal space (Fig. 10) defeats greedy ascent; "

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, replace
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import ObservationSetup, apertif, lofar
+from repro.astro.observation import ObservationSetup, setup_by_name
 from repro.core.tuner import ConfigurationSample, TuningResult
 from repro.errors import ValidationError
 from repro.hardware.device import DeviceSpec
@@ -44,19 +44,6 @@ PRIORITIES = ("low", "normal", "high")
 #: one.  Admission itself charges every request the same one token —
 #: priority buys answer quality under pressure, not queue jumping.
 PRIORITY_BUDGET_SCALE = {"low": 0.5, "normal": 1.0, "high": 2.0}
-
-#: Setup names resolvable from a bare string in :class:`TuneRequest`.
-_SETUPS = {"apertif": apertif, "lofar": lofar}
-
-
-def _setup_from_name(name: str) -> ObservationSetup:
-    try:
-        return _SETUPS[name.lower()]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown setup {name!r}; known: {', '.join(sorted(_SETUPS))}"
-        ) from None
-
 
 @dataclass(frozen=True)
 class TuneRequest:
@@ -129,7 +116,7 @@ class TuneRequest:
     def resolved_setup(self) -> ObservationSetup:
         """The concrete observation setup this request names."""
         if isinstance(self.setup, str):
-            return _setup_from_name(self.setup)
+            return setup_by_name(self.setup)
         return self.setup
 
     def resolved_device(self) -> DeviceSpec:

@@ -19,9 +19,10 @@ request path, in order:
    a probe guard that falls back to the exhaustive sweep when refuted.
 6. **Degradation** — when the tuning budget is exhausted (timeout or
    admission rejection) the caller gets a deterministic budgeted
-   heuristic answer (:func:`repro.core.heuristics.budgeted_tune`),
-   flagged ``degraded`` and never cached; the authoritative sweep, if one
-   is running, still completes in the background and lands in the cache.
+   heuristic answer (:class:`repro.tune.BudgetedSearch` over the
+   service's own tuning space), flagged ``degraded`` and never cached;
+   the authoritative sweep, if one is running, still completes in the
+   background and lands in the cache.
 
 The request surface is :meth:`TuningService.resolve` taking a
 :class:`~repro.service.TuneRequest`.  Every step is metered through
@@ -42,7 +43,6 @@ from typing import Callable
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import ObservationSetup
-from repro.core.heuristics import budgeted_tune
 from repro.core.tuner import AutoTuner
 from repro.errors import PipelineError
 from repro.hardware.device import DeviceSpec
@@ -52,6 +52,7 @@ from repro.service.keys import InstanceKey
 from repro.service.request import ServiceResponse, TuneRequest, TuneResponse
 from repro.service.stats import ServiceStats, StatsSnapshot
 from repro.service.warmstart import warm_start_tune
+from repro.tune.strategy import BudgetedSearch
 
 __all__ = ["ServiceResponse", "TuningService"]
 
@@ -79,8 +80,8 @@ class TuningService:
         ``None`` waits indefinitely.  A request's ``budget`` field
         overrides it per call.
     degraded_budget:
-        Model evaluations granted to the heuristic fallback, before the
-        request's priority scaling.
+        Model evaluations granted to the :class:`~repro.tune.BudgetedSearch`
+        fallback, before the request's priority scaling.
     warm_start:
         Seed sweeps from the nearest cached neighbouring instance.
     warm_radius / warm_top_k / warm_probes:
@@ -93,10 +94,6 @@ class TuningService:
         Warm-started sweeps are unaffected (they already prune the
         space), and a request's own ``strategy`` field overrides this
         default.
-    degraded_strategy:
-        Strategy used by the degradation path instead of
-        :func:`repro.core.heuristics.budgeted_tune`; ``None`` keeps the
-        budgeted heuristic.
     space_kwargs:
         Extra :class:`~repro.core.space.TuningSpace` arguments forwarded
         to every tuner.
@@ -125,7 +122,6 @@ class TuningService:
         warm_top_k: int = 8,
         warm_probes: int = 8,
         strategy=None,
-        degraded_strategy=None,
         space_kwargs: dict | None = None,
         tuner_factory: TunerFactory | None = None,
         registry: MetricsRegistry | None = None,
@@ -138,7 +134,6 @@ class TuningService:
         self.timeout_s = timeout_s
         self.degraded_budget = degraded_budget
         self.strategy = self._resolve_strategy(strategy)
-        self.degraded_strategy = self._resolve_strategy(degraded_strategy)
         self.warm_start = warm_start
         self.warm_radius = warm_radius
         self.warm_top_k = warm_top_k
@@ -264,11 +259,10 @@ class TuningService:
 
         The fleet's per-tenant admission layer calls this when a tenant
         is out of tokens: the request is answered on the caller's thread
-        by the budgeted heuristic (or the configured degraded strategy),
-        counted against this replica's ``degraded_admission`` stats, and
-        never cached — exactly the service's own over-capacity path, so
-        a throttled tenant and an overloaded pool look identical
-        downstream.
+        by the budgeted heuristic, counted against this replica's
+        ``degraded_admission`` stats, and never cached — exactly the
+        service's own over-capacity path, so a throttled tenant and an
+        overloaded pool look identical downstream.
         """
         if self._closed:
             raise PipelineError("TuningService is closed")
@@ -449,31 +443,25 @@ class TuningService:
         Runs on the *caller's* thread (it must not need pool capacity —
         the pool being full is exactly why we are here) and is never
         cached: if an authoritative sweep is still in flight it will
-        populate the cache when it completes.  With a
-        ``degraded_strategy`` configured the fallback is that strategy's
-        search instead of the budgeted heuristic; either way the model
-        evaluations actually spent are surfaced in
-        ``ServiceStats.degraded_evaluations``, and the request's
-        priority scales the evaluation budget granted.
+        populate the cache when it completes.  The answer is a
+        :class:`~repro.tune.BudgetedSearch` over the same tuning space a
+        sweep would cover, with the evaluation budget scaled by the
+        request's priority; the model evaluations actually spent are
+        surfaced in ``ServiceStats.degraded_evaluations``.
         """
-        device = request.resolved_device()
-        setup = request.resolved_setup()
-        grid = request.resolved_grid()
-        if self.degraded_strategy is not None:
-            tuner = self._tuner_factory(device, setup, self.space_kwargs)
-            search = self.degraded_strategy.search(tuner, grid)
-            result, evaluated = search.result, search.measurements
-        else:
-            outcome = budgeted_tune(
-                device, setup, grid,
-                budget=request.degraded_budget(self.degraded_budget),
-            )
-            result, evaluated = outcome.result, outcome.evaluations
-        self.stats.incr("degraded_evaluations", by=evaluated)
+        tuner = self._tuner_factory(
+            request.resolved_device(),
+            request.resolved_setup(),
+            self.space_kwargs,
+        )
+        outcome = BudgetedSearch(
+            budget=request.degraded_budget(self.degraded_budget)
+        ).search(tuner, request.resolved_grid())
+        self.stats.incr("degraded_evaluations", by=outcome.measurements)
         return self._respond(
             request,
             key,
-            result,
+            outcome.result,
             f"degraded-{reason}",
             started,
             degraded=True,

@@ -5,7 +5,9 @@ package finds the same optimum at a few percent of that cost:
 
 * :mod:`repro.tune.strategy` — the :class:`SearchStrategy` interface and
   its implementations (:class:`ExhaustiveSearch`,
-  :class:`SuccessiveHalving`, :class:`ModelGuidedSearch`);
+  :class:`SuccessiveHalving`, :class:`ModelGuidedSearch`, and the
+  budgeted heuristics :class:`RandomSearch`, :class:`HillClimb`,
+  :class:`SimulatedAnnealing`, :class:`BudgetedSearch`);
 * :mod:`repro.tune.study` — declarative studies (:class:`StudyConfig`
   with ``kwargs`` + ``kwargs_ranges``), executed by :func:`run_study`
   and persisted as schema-versioned JSON;
@@ -19,10 +21,14 @@ See ``docs/tuning.md``.
 
 from repro.tune.strategy import (
     STRATEGIES,
+    BudgetedSearch,
     ExhaustiveSearch,
+    HillClimb,
     ModelGuidedSearch,
+    RandomSearch,
     SearchOutcome,
     SearchStrategy,
+    SimulatedAnnealing,
     SuccessiveHalving,
     build_strategy,
     prior_scores,
@@ -51,6 +57,10 @@ __all__ = [
     "ExhaustiveSearch",
     "SuccessiveHalving",
     "ModelGuidedSearch",
+    "RandomSearch",
+    "HillClimb",
+    "SimulatedAnnealing",
+    "BudgetedSearch",
     "build_strategy",
     "strategy_accepts",
     "prior_scores",

@@ -1,10 +1,11 @@
-"""Search strategies that retire the exhaustive auto-tuning sweep.
+"""Search strategies: the paper's exhaustive sweep and cheaper searches.
 
 The paper tunes by brute force: "the algorithm is executed for every
 meaningful combination" (Sec. IV-A).  At fleet scale that sweep is the
-dominant cost of :class:`repro.service.TuningService`, so this module
-offers pluggable :class:`SearchStrategy` implementations that find the
-same optimum while *measuring* only a small fraction of the space:
+dominant cost of :class:`repro.service.TuningService`, and Figs. 8-10
+show its optimum is a statistical outlier, so this module offers
+pluggable :class:`SearchStrategy` implementations that measure only part
+of the space:
 
 * :class:`ExhaustiveSearch` — the paper's sweep behind the strategy
   interface (the baseline every other strategy is judged against);
@@ -18,7 +19,14 @@ same optimum while *measuring* only a small fraction of the space:
   hardware model (staging and coalescing-overhead terms disabled, so
   its predictions are cheap and deliberately imperfect), measure the
   top slice, re-rank the remainder with a local quadratic surrogate
-  fitted to the measurements, and finish with greedy neighbour ascent.
+  fitted to the measurements, and finish with greedy neighbour ascent;
+* four seeded heuristics bounded by a ``budget`` of distinct
+  evaluations, which quantify how hard the optimum is to find:
+  :class:`RandomSearch` (uniform sampling), :class:`HillClimb` (greedy
+  ascent with random restarts), :class:`SimulatedAnnealing` (a cooled
+  random walk that can cross the valleys that trap greedy ascent) and
+  :class:`BudgetedSearch` (random probes, then ascent from the best —
+  the service's degradation answer).
 
 Every strategy returns a :class:`SearchOutcome` whose ``evaluations``
 field is the search cost in *full-evaluation equivalents* (a rung at a
@@ -48,6 +56,7 @@ from repro.hardware.model import PerformanceModel
 from repro.obs import get_registry, span
 from repro.utils.intmath import ceil_div
 from repro.utils.rng import RandomStreams
+from repro.utils.validation import require_positive_int
 
 
 @dataclass(frozen=True)
@@ -247,22 +256,27 @@ def _greedy_ascent(
     evaluator: _CostedEvaluator,
     configs: list[KernelConfiguration],
     budget: int,
-) -> None:
-    """Full-fidelity best-neighbour ascent from the best measured point."""
+    start: ConfigurationSample | None = None,
+) -> ConfigurationSample | None:
+    """Full-fidelity best-neighbour ascent spending at most ``budget``
+    new measurements; starts from ``start`` (default: the best measured
+    point) and returns the point where it stopped."""
     if budget <= 0 or not evaluator.full_cache:
-        return
+        return start
     axis_values = _axis_values(configs)
     config_set = set(configs)
-    start = evaluator.measurements
-    current = max(evaluator.full_cache.values(), key=lambda s: s.gflops)
+    before = evaluator.measurements
+    if start is None:
+        start = max(evaluator.full_cache.values(), key=lambda s: s.gflops)
+    current = start
     improved = True
-    while improved and evaluator.measurements - start < budget:
+    while improved and evaluator.measurements - before < budget:
         improved = False
         best_neighbour = None
         for neighbour in _notch_neighbours(
             current.config, axis_values, config_set
         ):
-            if evaluator.measurements - start >= budget:
+            if evaluator.measurements - before >= budget:
                 break
             sample = evaluator.evaluate(neighbour)
             if best_neighbour is None or sample.gflops > best_neighbour.gflops:
@@ -270,6 +284,7 @@ def _greedy_ascent(
         if best_neighbour is not None and best_neighbour.gflops > current.gflops:
             current = best_neighbour
             improved = True
+    return current
 
 
 class SearchStrategy(ABC):
@@ -357,6 +372,17 @@ class SearchStrategy(ABC):
                 f"{tuner.setup.name}/{grid.n_dms} DMs"
             )
         return configs
+
+    def _outcome(
+        self, evaluator: _CostedEvaluator, space_size: int
+    ) -> SearchOutcome:
+        return SearchOutcome(
+            strategy=self.name,
+            result=evaluator.result(),
+            evaluations=evaluator.cost,
+            measurements=evaluator.measurements,
+            space_size=space_size,
+        )
 
 
 @dataclass(frozen=True)
@@ -462,13 +488,7 @@ class SuccessiveHalving(SearchStrategy):
         if self.refine:
             _greedy_ascent(evaluator, configs, max(8, round(0.01 * n)))
 
-        return SearchOutcome(
-            strategy=self.name,
-            result=evaluator.result(),
-            evaluations=evaluator.cost,
-            measurements=evaluator.measurements,
-            space_size=n,
-        )
+        return self._outcome(evaluator, n)
 
 
 def _surrogate_features(config: KernelConfiguration) -> list[float]:
@@ -583,20 +603,180 @@ class ModelGuidedSearch(SearchStrategy):
         if self.ascent:
             _greedy_ascent(evaluator, configs, climb_budget)
 
-        return SearchOutcome(
-            strategy=self.name,
-            result=evaluator.result(),
-            evaluations=evaluator.cost,
-            measurements=evaluator.measurements,
-            space_size=n,
+        return self._outcome(evaluator, n)
+
+
+@dataclass(frozen=True)
+class _BudgetedHeuristic(SearchStrategy):
+    """A seeded search bounded by ``budget`` distinct full-fidelity
+    evaluations (cache hits are free, so a run can undershoot it).
+
+    Subclasses draw every random choice from the ``RandomStreams``
+    stream named by ``stream`` and implement :meth:`_walk`.
+    """
+
+    budget: int = 50
+    seed: int = 0
+
+    stream: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        require_positive_int(self.budget, "budget")
+
+    def _search(
+        self,
+        tuner: AutoTuner,
+        grid: DMTrialGrid,
+        samples: int | None,
+    ) -> SearchOutcome:
+        s = tuner.setup.samples_per_batch if samples is None else samples
+        configs = self._meaningful(tuner, grid, s)
+        evaluator = _CostedEvaluator(tuner, grid, s)
+        self._walk(
+            evaluator, configs, RandomStreams(self.seed).python(self.stream)
+        )
+        return self._outcome(evaluator, len(configs))
+
+    @abstractmethod
+    def _walk(
+        self,
+        evaluator: _CostedEvaluator,
+        configs: list[KernelConfiguration],
+        rng,
+    ) -> None:
+        """Spend the budget on ``evaluator``."""
+
+
+@dataclass(frozen=True)
+class RandomSearch(_BudgetedHeuristic):
+    """Uniformly sample ``budget`` meaningful configurations."""
+
+    name: ClassVar[str] = "random"
+    stream: ClassVar[str] = "random-search"
+
+    def _walk(self, evaluator, configs, rng) -> None:
+        for config in rng.sample(configs, min(self.budget, len(configs))):
+            evaluator.evaluate(config)
+
+
+@dataclass(frozen=True)
+class HillClimb(_BudgetedHeuristic):
+    """Greedy best-neighbour ascent with random restarts."""
+
+    name: ClassVar[str] = "hill-climb"
+    stream: ClassVar[str] = "hill-climb"
+
+    def _walk(self, evaluator, configs, rng) -> None:
+        restarts = 0
+        # Restarts may land on already-evaluated configurations without
+        # consuming budget; the restart bound keeps termination
+        # deterministic.
+        while (
+            evaluator.measurements < min(self.budget, len(configs))
+            and restarts < 20 * self.budget
+        ):
+            restarts += 1
+            start = evaluator.evaluate(rng.choice(configs))
+            _greedy_ascent(
+                evaluator,
+                configs,
+                self.budget - evaluator.measurements,
+                start=start,
+            )
+
+
+@dataclass(frozen=True)
+class SimulatedAnnealing(_BudgetedHeuristic):
+    """Annealed local search: accepts downhill moves early, cools to greedy.
+
+    The acceptance temperature is a fraction of the best GFLOP/s seen so
+    far and decays geometrically over the budget — the standard recipe
+    that lets the walker escape the local optima that trap
+    :class:`HillClimb` on the multimodal LOFAR space (Fig. 10's shape).
+    """
+
+    initial_temperature: float = 0.5
+
+    name: ClassVar[str] = "annealing"
+    stream: ClassVar[str] = "annealing"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.initial_temperature <= 0:
+            raise TuningError("initial_temperature must be positive")
+
+    def _walk(self, evaluator, configs, rng) -> None:
+        axis_values = _axis_values(configs)
+        config_set = set(configs)
+        current = best = evaluator.evaluate(rng.choice(configs))
+        cooling = (0.01 / self.initial_temperature) ** (
+            1.0 / max(self.budget - 1, 1)
+        )
+        temperature = self.initial_temperature
+        attempts = 0
+        # The walk may revisit cached configurations without consuming
+        # budget; the attempt bound keeps termination deterministic.
+        while (
+            evaluator.measurements < min(self.budget, len(configs))
+            and attempts < 20 * self.budget
+        ):
+            attempts += 1
+            neighbours = _notch_neighbours(
+                current.config, axis_values, config_set
+            )
+            candidate = evaluator.evaluate(
+                rng.choice(neighbours) if neighbours else rng.choice(configs)
+            )
+            if candidate.gflops > best.gflops:
+                best = candidate
+            delta = candidate.gflops - current.gflops
+            scale = max(best.gflops * temperature, 1e-9)
+            if delta >= 0 or rng.random() < pow(2.718281828, delta / scale):
+                current = candidate
+            temperature *= cooling
+
+
+@dataclass(frozen=True)
+class BudgetedSearch(_BudgetedHeuristic):
+    """Probe, then refine: the service's degradation answer.
+
+    Spends half the budget on uniform random probes of the meaningful
+    space and the rest on greedy best-neighbour ascent from the best
+    probe.  Cheaper than either :class:`RandomSearch` (no refinement) or
+    :class:`HillClimb` (no global view) at the same budget, and fully
+    deterministic for a given ``seed`` — the property
+    :class:`repro.service.TuningService` needs when it degrades a timed
+    out or rejected request to a heuristic answer.
+    """
+
+    budget: int = 48
+
+    name: ClassVar[str] = "budgeted"
+    stream: ClassVar[str] = "budgeted-tune"
+
+    def _walk(self, evaluator, configs, rng) -> None:
+        n_probes = max(1, min(self.budget // 2, len(configs)))
+        for config in rng.sample(configs, n_probes):
+            evaluator.evaluate(config)
+        _greedy_ascent(
+            evaluator,
+            configs,
+            min(self.budget, len(configs)) - evaluator.measurements,
         )
 
 
 #: Registry of built-in strategies by CLI/service name.
 STRATEGIES: dict[str, type[SearchStrategy]] = {
-    ExhaustiveSearch.name: ExhaustiveSearch,
-    SuccessiveHalving.name: SuccessiveHalving,
-    ModelGuidedSearch.name: ModelGuidedSearch,
+    cls.name: cls
+    for cls in (
+        ExhaustiveSearch,
+        SuccessiveHalving,
+        ModelGuidedSearch,
+        RandomSearch,
+        HillClimb,
+        SimulatedAnnealing,
+        BudgetedSearch,
+    )
 }
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.astro.dm_trials import DMTrialGrid
+from repro.astro.observation import setup_by_name
 from repro.core.persistence import MODEL_REVISION
 from repro.core.tuner import AutoTuner
 from repro.errors import SchemaVersionError, TuningError, ValidationError
@@ -284,7 +285,7 @@ def run_study(config: StudyConfig) -> StudyResult:
         for device_name in config.devices:
             device = device_by_name(device_name)
             for setup_name in config.setups:
-                setup = _setup_by_name(setup_name)
+                setup = setup_by_name(setup_name)
                 tuner = AutoTuner(device, setup)
                 for n_dms in config.instances:
                     grid = DMTrialGrid(
@@ -351,18 +352,6 @@ def _build_run(
         kwargs=kwargs,
         seed=kwargs.get("seed", config.seed),
     )
-
-
-def _setup_by_name(name: str):
-    from repro.astro.observation import apertif, lofar
-
-    table = {"apertif": apertif, "lofar": lofar}
-    try:
-        return table[name.lower()]()
-    except KeyError:
-        raise ValidationError(
-            f"unknown setup {name!r} in study config; known: apertif, lofar"
-        ) from None
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,27 @@
-"""Unit tests for repro.core.heuristics."""
+"""Unit tests for the budgeted heuristic strategies in repro.tune."""
 
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
 from repro.astro.observation import apertif
-from repro.core.heuristics import hill_climb, random_search
 from repro.core.tuner import AutoTuner
 from repro.errors import TuningError, ValidationError
 from repro.hardware.catalog import hd7970
+from repro.tune import (
+    BudgetedSearch,
+    HillClimb,
+    RandomSearch,
+    SimulatedAnnealing,
+)
 
 
 GRID = DMTrialGrid(64)
+HEURISTICS = (RandomSearch, HillClimb, SimulatedAnnealing, BudgetedSearch)
+
+
+def search(cls, budget, seed=0, **kwargs):
+    strategy = cls(budget=budget, seed=seed, **kwargs)
+    return strategy.search(AutoTuner(hd7970(), apertif()), GRID)
 
 
 @pytest.fixture(scope="module")
@@ -20,192 +31,137 @@ def exhaustive():
 
 class TestRandomSearch:
     def test_respects_budget(self):
-        outcome = random_search(hd7970(), apertif(), GRID, budget=20)
-        assert outcome.evaluations <= 20
-        assert outcome.result.n_configurations == outcome.evaluations
+        outcome = search(RandomSearch, 20)
+        assert outcome.measurements <= 20
+        assert outcome.result.n_configurations == outcome.measurements
 
     def test_deterministic_given_seed(self):
-        a = random_search(hd7970(), apertif(), GRID, budget=15, seed=3)
-        b = random_search(hd7970(), apertif(), GRID, budget=15, seed=3)
-        assert a.best_gflops == b.best_gflops
+        a = search(RandomSearch, 15, seed=3)
+        b = search(RandomSearch, 15, seed=3)
+        assert a.best.gflops == b.best.gflops
 
     def test_different_seeds_differ(self):
-        a = random_search(hd7970(), apertif(), GRID, budget=10, seed=1)
-        b = random_search(hd7970(), apertif(), GRID, budget=10, seed=2)
+        a = search(RandomSearch, 10, seed=1)
+        b = search(RandomSearch, 10, seed=2)
         assert {s.config for s in a.result.samples} != {
             s.config for s in b.result.samples
         }
 
     def test_never_beats_exhaustive(self, exhaustive):
-        outcome = random_search(hd7970(), apertif(), GRID, budget=40)
-        assert outcome.best_gflops <= exhaustive.best.gflops + 1e-9
+        outcome = search(RandomSearch, 40)
+        assert outcome.best.gflops <= exhaustive.best.gflops + 1e-9
 
     def test_budget_larger_than_space(self, exhaustive):
-        outcome = random_search(
-            hd7970(), apertif(), GRID, budget=10 ** 6
-        )
-        assert outcome.evaluations == exhaustive.n_configurations
-        assert outcome.best_gflops == pytest.approx(exhaustive.best.gflops)
+        outcome = search(RandomSearch, 10 ** 6)
+        assert outcome.measurements == exhaustive.n_configurations
+        assert outcome.best.gflops == pytest.approx(exhaustive.best.gflops)
 
     def test_rejects_zero_budget(self):
         with pytest.raises(ValidationError):
-            random_search(hd7970(), apertif(), GRID, budget=0)
+            RandomSearch(budget=0)
 
 
 class TestHillClimb:
     def test_respects_budget(self):
-        outcome = hill_climb(hd7970(), apertif(), GRID, budget=25)
-        assert outcome.evaluations <= 25 + 8  # final neighbourhood overshoot
-        assert outcome.best_gflops > 0
+        outcome = search(HillClimb, 25)
+        assert outcome.measurements <= 25 + 8  # final neighbourhood overshoot
+        assert outcome.best.gflops > 0
 
     def test_gets_stuck_in_local_optima(self, exhaustive):
         # The optimisation landscape is multimodal (Fig. 10), so greedy
         # ascent plateaus below the global optimum at small budgets —
         # supporting the paper's claim that the optimum "is difficult to
         # find manually" by local reasoning.
-        budget = 30
-        hill = [
-            hill_climb(hd7970(), apertif(), GRID, budget=budget, seed=s).best_gflops
-            for s in range(5)
-        ]
+        hill = [search(HillClimb, 30, seed=s).best.gflops for s in range(5)]
         mean_hill = sum(hill) / len(hill)
         assert 0.5 * exhaustive.best.gflops < mean_hill < exhaustive.best.gflops
 
     def test_never_beats_exhaustive(self, exhaustive):
-        outcome = hill_climb(hd7970(), apertif(), GRID, budget=40)
-        assert outcome.best_gflops <= exhaustive.best.gflops + 1e-9
+        outcome = search(HillClimb, 40)
+        assert outcome.best.gflops <= exhaustive.best.gflops + 1e-9
 
     def test_large_budget_finds_near_optimum(self, exhaustive):
-        outcome = hill_climb(hd7970(), apertif(), GRID, budget=250, seed=0)
-        assert outcome.best_gflops >= 0.9 * exhaustive.best.gflops
+        outcome = search(HillClimb, 250, seed=0)
+        assert outcome.best.gflops >= 0.9 * exhaustive.best.gflops
 
     def test_deterministic_given_seed(self):
-        a = hill_climb(hd7970(), apertif(), GRID, budget=20, seed=9)
-        b = hill_climb(hd7970(), apertif(), GRID, budget=20, seed=9)
-        assert a.best_gflops == b.best_gflops
+        a = search(HillClimb, 20, seed=9)
+        b = search(HillClimb, 20, seed=9)
+        assert a.best.gflops == b.best.gflops
 
 
 class TestSimulatedAnnealing:
     def test_respects_budget(self):
-        from repro.core.heuristics import simulated_annealing
-
-        outcome = simulated_annealing(hd7970(), apertif(), GRID, budget=25)
-        assert outcome.evaluations <= 25
-        assert outcome.best_gflops > 0
+        outcome = search(SimulatedAnnealing, 25)
+        assert outcome.measurements <= 25
+        assert outcome.best.gflops > 0
 
     def test_deterministic_given_seed(self):
-        from repro.core.heuristics import simulated_annealing
-
-        a = simulated_annealing(hd7970(), apertif(), GRID, budget=20, seed=4)
-        b = simulated_annealing(hd7970(), apertif(), GRID, budget=20, seed=4)
-        assert a.best_gflops == b.best_gflops
+        a = search(SimulatedAnnealing, 20, seed=4)
+        b = search(SimulatedAnnealing, 20, seed=4)
+        assert a.best.gflops == b.best.gflops
 
     def test_never_beats_exhaustive(self, exhaustive):
-        from repro.core.heuristics import simulated_annealing
-
-        outcome = simulated_annealing(hd7970(), apertif(), GRID, budget=40)
-        assert outcome.best_gflops <= exhaustive.best.gflops + 1e-9
+        outcome = search(SimulatedAnnealing, 40)
+        assert outcome.best.gflops <= exhaustive.best.gflops + 1e-9
 
     def test_escapes_local_optima_better_than_greedy(self, exhaustive):
         # Averaged over seeds at equal budget, annealing should not be
         # worse than greedy ascent on this multimodal space.
-        from repro.core.heuristics import hill_climb, simulated_annealing
-
-        budget = 40
         anneal = [
-            simulated_annealing(
-                hd7970(), apertif(), GRID, budget=budget, seed=s
-            ).best_gflops
+            search(SimulatedAnnealing, 40, seed=s).best.gflops
             for s in range(6)
         ]
-        greedy = [
-            hill_climb(hd7970(), apertif(), GRID, budget=budget, seed=s).best_gflops
-            for s in range(6)
-        ]
+        greedy = [search(HillClimb, 40, seed=s).best.gflops for s in range(6)]
         assert sum(anneal) / len(anneal) >= 0.85 * sum(greedy) / len(greedy)
 
     def test_rejects_bad_temperature(self):
-        from repro.core.heuristics import simulated_annealing
-        from repro.errors import TuningError
-
         with pytest.raises(TuningError):
-            simulated_annealing(
-                hd7970(), apertif(), GRID, initial_temperature=0.0
-            )
+            SimulatedAnnealing(initial_temperature=0.0)
 
 
 class TestBudgetedTune:
     def test_respects_budget(self):
-        from repro.core.heuristics import budgeted_tune
-
-        outcome = budgeted_tune(hd7970(), apertif(), GRID, budget=24)
-        assert outcome.evaluations <= 24
-        assert outcome.best_gflops > 0
+        outcome = search(BudgetedSearch, 24)
+        assert outcome.measurements <= 24
+        assert outcome.best.gflops > 0
 
     def test_deterministic_given_seed(self):
-        from repro.core.heuristics import budgeted_tune
-
-        a = budgeted_tune(hd7970(), apertif(), GRID, budget=20, seed=7)
-        b = budgeted_tune(hd7970(), apertif(), GRID, budget=20, seed=7)
-        assert a.best_gflops == b.best_gflops
+        a = search(BudgetedSearch, 20, seed=7)
+        b = search(BudgetedSearch, 20, seed=7)
+        assert a.best.gflops == b.best.gflops
         assert {s.config for s in a.result.samples} == {
             s.config for s in b.result.samples
         }
 
     def test_never_beats_exhaustive(self, exhaustive):
-        from repro.core.heuristics import budgeted_tune
-
-        outcome = budgeted_tune(hd7970(), apertif(), GRID, budget=40)
-        assert outcome.best_gflops <= exhaustive.best.gflops + 1e-9
+        outcome = search(BudgetedSearch, 40)
+        assert outcome.best.gflops <= exhaustive.best.gflops + 1e-9
 
     def test_budget_larger_than_space_finds_optimum(self, exhaustive):
-        from repro.core.heuristics import budgeted_tune
-
-        outcome = budgeted_tune(hd7970(), apertif(), GRID, budget=10 ** 6)
-        assert outcome.best_gflops == pytest.approx(exhaustive.best.gflops)
+        outcome = search(BudgetedSearch, 10 ** 6)
+        assert outcome.best.gflops == pytest.approx(exhaustive.best.gflops)
 
     def test_rejects_zero_budget(self):
-        from repro.core.heuristics import budgeted_tune
-
         with pytest.raises(ValidationError):
-            budgeted_tune(hd7970(), apertif(), GRID, budget=0)
+            BudgetedSearch(budget=0)
 
 
 class TestSpaceAccounting:
     def test_outcomes_report_space_size(self, exhaustive):
-        from repro.core.heuristics import budgeted_tune, simulated_annealing
-
-        for outcome in (
-            random_search(hd7970(), apertif(), GRID, budget=10),
-            hill_climb(hd7970(), apertif(), GRID, budget=10),
-            simulated_annealing(hd7970(), apertif(), GRID, budget=10),
-            budgeted_tune(hd7970(), apertif(), GRID, budget=10),
-        ):
+        for cls in HEURISTICS:
+            outcome = search(cls, 10)
             assert outcome.space_size == exhaustive.n_configurations
 
     def test_fraction_evaluated(self):
-        outcome = random_search(hd7970(), apertif(), GRID, budget=10)
+        outcome = search(RandomSearch, 10)
         assert outcome.fraction_evaluated == pytest.approx(
-            outcome.evaluations / outcome.space_size
+            outcome.measurements / outcome.space_size
         )
         assert 0.0 < outcome.fraction_evaluated < 1.0
 
-    def test_fraction_evaluated_safe_without_space_size(self):
-        from repro.core.heuristics import HeuristicOutcome
-
-        outcome = random_search(hd7970(), apertif(), GRID, budget=5)
-        legacy = HeuristicOutcome(
-            result=outcome.result,
-            evaluations=outcome.evaluations,
-            budget=5,
-        )
-        assert legacy.space_size == 0
-        assert legacy.fraction_evaluated == 0.0
-
-    def test_budgeted_tune_reports_actual_evaluations(self):
-        from repro.core.heuristics import budgeted_tune
-
-        outcome = budgeted_tune(hd7970(), apertif(), GRID, budget=24)
+    def test_budgeted_search_reports_actual_evaluations(self):
+        outcome = search(BudgetedSearch, 24)
         # The count must reflect configurations actually simulated, not
         # the requested budget.
-        assert outcome.evaluations == outcome.result.n_configurations
+        assert outcome.measurements == outcome.result.n_configurations

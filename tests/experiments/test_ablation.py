@@ -1,5 +1,7 @@
 """Tests for the ablation experiment drivers."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import SweepCache
@@ -13,6 +15,10 @@ from repro.experiments.ablation import (
 )
 
 N_DMS = 256
+
+ARCHIVE = (
+    Path(__file__).resolve().parents[2] / "results" / "all_experiments.txt"
+)
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +79,11 @@ class TestTunerAblation:
         assert len(result.rows) == 2  # both setups on the HD7970
         for row in result.rows:
             assert row[2] > 100  # space size
+
+    def test_archived_output_is_current(self):
+        # Pins the seeded behaviour of the heuristic strategies: any change
+        # to their draws or loop bounds must regenerate the archive.
+        assert run_ablation_tuner().render() in ARCHIVE.read_text()
 
 
 class TestPhiAblation:

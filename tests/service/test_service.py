@@ -278,22 +278,6 @@ class TestSearchStrategies:
         with pytest.raises(TuningError):
             TuningService(strategy="gradient-descent")
 
-    def test_degraded_strategy_serves_timeouts(self):
-        started, release = threading.Event(), threading.Event()
-        with TuningService(
-            tuner_factory=gated_factory(started, release),
-            timeout_s=0.05,
-            degraded_strategy="model-guided",
-        ) as service:
-            degraded = resolve(service, 32)
-            release.set()
-        assert degraded.degraded
-        assert degraded.source == "degraded-timeout"
-        snap = service.snapshot()
-        assert snap.degraded_timeout == 1
-        # The fallback search's measurements are accounted for.
-        assert snap.degraded_evaluations > 0
-
     def test_budgeted_fallback_counts_degraded_evaluations(self):
         started, release = threading.Event(), threading.Event()
         with TuningService(
@@ -305,6 +289,18 @@ class TestSearchStrategies:
         assert degraded.degraded
         snap = service.snapshot()
         assert 0 < snap.degraded_evaluations <= service.degraded_budget
+
+    def test_degraded_answer_stays_in_the_service_space(self):
+        space_kwargs = {"max_elements_time": 4}
+        with TuningService(space_kwargs=space_kwargs) as service:
+            degraded = service.degrade(
+                TuneRequest(setup=apertif(), n_dms=64, device=DEVICE)
+            )
+        meaningful = AutoTuner(DEVICE, apertif(), space_kwargs).space(
+            DMTrialGrid(64)
+        ).meaningful()
+        assert degraded.degraded
+        assert {s.config for s in degraded.result.samples} <= set(meaningful)
 
 
 @pytest.mark.slow

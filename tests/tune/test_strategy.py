@@ -3,15 +3,19 @@
 import pytest
 
 from repro.astro.dm_trials import DMTrialGrid
-from repro.astro.observation import lofar
+from repro.astro.observation import apertif, lofar
 from repro.core.tuner import AutoTuner
 from repro.errors import TuningError
 from repro.hardware.catalog import hd7970
 from repro.tune import (
     STRATEGIES,
+    BudgetedSearch,
     ExhaustiveSearch,
+    HillClimb,
     ModelGuidedSearch,
+    RandomSearch,
     SearchStrategy,
+    SimulatedAnnealing,
     SuccessiveHalving,
     build_strategy,
     prior_scores,
@@ -192,3 +196,21 @@ class TestInstrumentation:
     def test_strategy_is_abstract(self):
         with pytest.raises(TypeError):
             SearchStrategy()
+
+
+class TestBudgetedHeuristics:
+    @pytest.mark.parametrize(
+        "cls", (RandomSearch, HillClimb, SimulatedAnnealing, BudgetedSearch)
+    )
+    def test_samples_score_at_the_requested_batch(self, cls):
+        # Every heuristic sample must equal the exhaustive tuner's score
+        # for the same config at the same sample count, not at the
+        # setup's full batch.
+        tuner = AutoTuner(DEVICE, apertif())
+        grid = DMTrialGrid(n_dms=256)
+        swept = {
+            s.config: s.gflops for s in tuner.tune(grid, samples=5000).samples
+        }
+        outcome = cls(budget=20, seed=1).search(tuner, grid, samples=5000)
+        for sample in outcome.result.samples:
+            assert sample.gflops == swept[sample.config]
